@@ -349,11 +349,12 @@ func benchModule(out io.Writer, funcs int, seed int64, queryFuncs int) ([]benchR
 	ba := alias.NewBasic(m2)
 	balt := alias.NewChain(ba, alias.NewSRAA(prep.LT))
 	rep := alias.NewReport(name, ba, st2, balt, cf2)
+	w := alias.NewPlan(ba, st2, balt, cf2).NewWorkspace()
 	for i, f := range m2.Funcs {
 		if i >= queryFuncs {
 			break
 		}
-		alias.EvaluateFunc(f, rep, ba, st2, balt, cf2)
+		w.EvaluateFunc(f, rep)
 	}
 	pct := func(an alias.Analysis) (int, float64) {
 		c := rep.PerAnalysis[an.Name()]

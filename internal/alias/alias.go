@@ -131,9 +131,12 @@ type scaledIdx struct {
 }
 
 // decompose walks v's GEP chain to a non-GEP base, accumulating
-// constant byte offsets and recording variable indices.
-func decompose(v ir.Value) decomposed {
+// constant byte offsets and recording variable indices. The indices are
+// appended to buf, whose grown form is returned for reuse; d.varIdx is
+// the appended tail.
+func decompose(v ir.Value, buf []scaledIdx) (decomposed, []scaledIdx) {
 	d := decomposed{}
+	start := len(buf)
 	v = stripCopies(v)
 	for {
 		in, ok := v.(*ir.Instr)
@@ -147,12 +150,56 @@ func decompose(v ir.Value) decomposed {
 		if c, isC := in.Args[1].(*ir.Const); isC {
 			d.constOff += c.Val * scale
 		} else {
-			d.varIdx = append(d.varIdx, scaledIdx{idx: in.Args[1], scale: scale})
+			buf = append(buf, scaledIdx{idx: in.Args[1], scale: scale})
 		}
 		v = stripCopies(in.Args[0])
 	}
 	d.base = v
-	return d
+	d.varIdx = buf[start:len(buf):len(buf)]
+	return d, buf
+}
+
+// Pointer is a location prepared for alias queries: the facts every
+// analysis in this package reads, derived once. The evaluator prepares
+// each pointer value of a function once and hands the slice to every
+// FuncPreparer; Alias prepares its two locations the same way, so both
+// paths apply one rule to the same facts.
+type Pointer struct {
+	Loc Location
+	d   decomposed
+	// kind and obj classify d.base (see underlying).
+	kind objKind
+	obj  ir.Value
+	// fn is the function Loc.Ptr belongs to; nil for globals.
+	fn *ir.Func
+}
+
+// preparePointer derives l's facts, appending its variable indices to
+// buf (see decompose).
+func preparePointer(l Location, buf []scaledIdx) (Pointer, []scaledIdx) {
+	d, buf := decompose(l.Ptr, buf)
+	kind, obj := underlying(d.base)
+	return Pointer{Loc: l, d: d, kind: kind, obj: obj, fn: funcOf(l.Ptr)}, buf
+}
+
+// FuncPreparer is implemented by analyses that answer a function's
+// all-pairs queries from per-pointer facts looked up once per function
+// rather than once per query.
+type FuncPreparer interface {
+	Analysis
+	// NewPrepared returns empty per-function state. An evaluator keeps
+	// one per worker and refills it for every function.
+	NewPrepared() Prepared
+}
+
+// Prepared is a FuncPreparer's per-pointer facts for one function.
+type Prepared interface {
+	// Prepare replaces the facts with those of ptrs, the pointer
+	// values of f. ptrs stays valid until the next Prepare.
+	Prepare(f *ir.Func, ptrs []Pointer)
+	// Pair answers the query between ptrs[i] and ptrs[j]; it equals
+	// the analysis's Alias on their locations.
+	Pair(i, j int) Result
 }
 
 // funcOf returns the function a value belongs to, or nil for globals

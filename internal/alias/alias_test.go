@@ -395,7 +395,7 @@ entry:
 		}
 		return true
 	})
-	d := decompose(s)
+	d, _ := decompose(s, nil)
 	if d.base != ir.Value(f.Params[0]) {
 		t.Errorf("base = %v, want %%p", d.base)
 	}
@@ -404,30 +404,5 @@ entry:
 	}
 	if len(d.varIdx) != 1 || d.varIdx[0].idx != ir.Value(f.Params[1]) {
 		t.Errorf("varIdx = %v", d.varIdx)
-	}
-}
-
-func TestPointerValuesDeterministic(t *testing.T) {
-	m, _, _ := build(t, `
-int g[4];
-int f(int *p) {
-  int a[2];
-  a[0] = g[0] + *p;
-  return a[0];
-}
-`)
-	f := m.FuncByName("f")
-	v1 := PointerValues(f)
-	v2 := PointerValues(f)
-	if len(v1) != len(v2) {
-		t.Fatal("nondeterministic length")
-	}
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatal("nondeterministic order")
-		}
-	}
-	if len(v1) < 4 {
-		t.Errorf("expected param, global, allocas, geps: got %d values", len(v1))
 	}
 }

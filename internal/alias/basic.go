@@ -41,8 +41,10 @@ func NewBasic(m *ir.Module) *Basic {
 func (ba *Basic) computeEscapes(f *ir.Func) {
 	// derived[v] = allocation site(s) v may carry. Conservatively via
 	// decompose: only direct chains matter for identified objects.
+	var buf []scaledIdx
 	escapes := func(v ir.Value) {
-		d := decompose(v)
+		var d decomposed
+		d, buf = decompose(v, buf[:0])
 		kind, obj := underlying(d.base)
 		if kind == objAlloca || kind == objMalloc {
 			ba.escaped[obj] = true
@@ -83,28 +85,36 @@ func (ba *Basic) Name() string { return "BA" }
 
 // Alias implements the basic-aa rules.
 func (ba *Basic) Alias(a, b Location) Result {
-	if ba.Intraprocedural {
-		fa, fb := funcOf(a.Ptr), funcOf(b.Ptr)
-		if fa != nil && fb != nil && fa != fb {
-			return MayAlias
-		}
-	}
-	da, db := decompose(a.Ptr), decompose(b.Ptr)
-	ka, oa := underlying(da.base)
-	kb, ob := underlying(db.base)
+	pa, _ := preparePointer(a, nil)
+	pb, _ := preparePointer(b, nil)
+	return ba.pair(&pa, &pb, ba.nonEscapingLocal(&pa), ba.nonEscapingLocal(&pb))
+}
 
+// nonEscapingLocal reports whether p is rooted at an allocation of its
+// own function that never escapes it.
+func (ba *Basic) nonEscapingLocal(p *Pointer) bool {
+	return (p.kind == objAlloca || p.kind == objMalloc) && !ba.escaped[p.obj]
+}
+
+// pair is the basic-aa rule over two prepared pointers; aLocal and
+// bLocal are their nonEscapingLocal bits.
+func (ba *Basic) pair(a, b *Pointer, aLocal, bLocal bool) Result {
+	if ba.Intraprocedural && a.fn != nil && b.fn != nil && a.fn != b.fn {
+		return MayAlias
+	}
+	da, db := &a.d, &b.d
 	// Same base pointer: compare offsets.
 	if da.base == db.base {
 		if len(da.varIdx) == 0 && len(db.varIdx) == 0 {
 			// Both offsets constant: disjoint intervals cannot alias.
-			if da.constOff == db.constOff && a.Size == b.Size {
+			if da.constOff == db.constOff && a.Loc.Size == b.Loc.Size {
 				return MustAlias
 			}
 			if ba.UnknownSizes {
 				return MayAlias
 			}
-			if da.constOff+a.Size <= db.constOff ||
-				db.constOff+b.Size <= da.constOff {
+			if da.constOff+a.Loc.Size <= db.constOff ||
+				db.constOff+b.Loc.Size <= da.constOff {
 				return NoAlias
 			}
 			return MayAlias
@@ -112,26 +122,46 @@ func (ba *Basic) Alias(a, b Location) Result {
 		return MayAlias
 	}
 
-	identified := func(k objKind) bool {
-		return k == objAlloca || k == objMalloc || k == objGlobal
-	}
 	// Distinct identified objects never overlap.
-	if identified(ka) && identified(kb) && oa != ob {
+	if identified(a.kind) && identified(b.kind) && a.obj != b.obj {
 		return NoAlias
 	}
 	// A non-escaping local allocation cannot alias anything that
 	// comes from outside the function: parameters, globals, loads.
-	nonEscLocal := func(k objKind, o ir.Value) bool {
-		return (k == objAlloca || k == objMalloc) && !ba.escaped[o]
-	}
-	outside := func(k objKind) bool {
-		return k == objParam || k == objGlobal || k == objUnknown
-	}
-	if nonEscLocal(ka, oa) && outside(kb) {
+	if aLocal && outside(b.kind) {
 		return NoAlias
 	}
-	if nonEscLocal(kb, ob) && outside(ka) {
+	if bLocal && outside(a.kind) {
 		return NoAlias
 	}
 	return MayAlias
+}
+
+func identified(k objKind) bool {
+	return k == objAlloca || k == objMalloc || k == objGlobal
+}
+
+func outside(k objKind) bool {
+	return k == objParam || k == objGlobal || k == objUnknown
+}
+
+// NewPrepared implements FuncPreparer: the escape bit of each pointer's
+// object is looked up once per function.
+func (ba *Basic) NewPrepared() Prepared { return &basicPrepared{ba: ba} }
+
+type basicPrepared struct {
+	ba    *Basic
+	ptrs  []Pointer
+	local []bool
+}
+
+func (p *basicPrepared) Prepare(_ *ir.Func, ptrs []Pointer) {
+	p.ptrs, p.local = ptrs, p.local[:0]
+	for i := range ptrs {
+		p.local = append(p.local, p.ba.nonEscapingLocal(&ptrs[i]))
+	}
+}
+
+func (p *basicPrepared) Pair(i, j int) Result {
+	return p.ba.pair(&p.ptrs[i], &p.ptrs[j], p.local[i], p.local[j])
 }

@@ -2,6 +2,7 @@ package alias
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/ir"
@@ -55,24 +56,149 @@ func NewReport(module string, analyses ...Analysis) *Report {
 // function) and queries every analysis with element-sized locations.
 func Evaluate(m *ir.Module, analyses ...Analysis) *Report {
 	rep := NewReport(m.Name, analyses...)
+	w := NewPlan(analyses...).NewWorkspace()
 	for _, f := range m.Funcs {
-		EvaluateFunc(f, rep, analyses...)
+		w.EvaluateFunc(f, rep)
 	}
 	return rep
 }
 
 // EvaluateFunc adds one function's all-pairs queries to rep. Exposed
 // separately so the hardened harness can wrap each function in its own
-// containment region.
+// containment region. Callers evaluating many functions should build
+// one Plan and reuse a Workspace instead.
 func EvaluateFunc(f *ir.Func, rep *Report, analyses ...Analysis) {
-	ptrs := PointerValues(f)
-	for i := 0; i < len(ptrs); i++ {
-		for j := i + 1; j < len(ptrs); j++ {
-			la, lb := Loc(ptrs[i]), Loc(ptrs[j])
-			for _, an := range analyses {
-				c := rep.PerAnalysis[an.Name()]
+	NewPlan(analyses...).NewWorkspace().EvaluateFunc(f, rep)
+}
+
+// Plan is the query schedule of one list of analyses, each a report
+// row. Chains, nested ones included, are flattened into their leaf
+// analyses, and a leaf appearing in several rows (BA in BA, BA+LT and
+// BA+CF) is one leaf, answered at most once per pointer pair. A Plan is
+// immutable and may be shared by concurrent Workspaces.
+type Plan struct {
+	rows []Analysis
+	// rowLeaves[r] lists row r's leaves in chain order.
+	rowLeaves [][]int
+	leaves    []Analysis
+}
+
+// NewPlan plans the evaluation of analyses.
+func NewPlan(analyses ...Analysis) *Plan {
+	p := &Plan{rows: analyses, rowLeaves: make([][]int, len(analyses))}
+	for r, an := range analyses {
+		p.rowLeaves[r] = p.flatten(an, nil)
+	}
+	return p
+}
+
+func (p *Plan) flatten(an Analysis, ids []int) []int {
+	if c, ok := an.(*Chain); ok {
+		for _, sub := range c.Analyses {
+			ids = p.flatten(sub, ids)
+		}
+		return ids
+	}
+	// Leaves are shared by identity; a value type that does not admit
+	// == gets a leaf per occurrence.
+	if reflect.TypeOf(an).Comparable() {
+		for id, l := range p.leaves {
+			if l == an {
+				return append(ids, id)
+			}
+		}
+	}
+	p.leaves = append(p.leaves, an)
+	return append(ids, len(p.leaves)-1)
+}
+
+// unanswered marks a leaf not yet asked about the current pair.
+const unanswered Result = -1
+
+// Workspace evaluates functions under a Plan, reusing its buffers from
+// one function to the next. It is not safe for concurrent use: keep one
+// per goroutine.
+type Workspace struct {
+	plan *Plan
+	vals []ir.Value
+	seen map[*ir.Global]bool
+	ptrs []Pointer
+	idx  []scaledIdx
+	// prepared[l] holds leaf l's facts for the current function; nil
+	// for leaves without a FuncPreparer, which are asked through Alias.
+	prepared []Prepared
+	answers  []Result
+	counts   []*Counts
+}
+
+// NewWorkspace returns an empty workspace for p.
+func (p *Plan) NewWorkspace() *Workspace {
+	w := &Workspace{
+		plan:     p,
+		seen:     map[*ir.Global]bool{},
+		prepared: make([]Prepared, len(p.leaves)),
+		answers:  make([]Result, len(p.leaves)),
+		counts:   make([]*Counts, len(p.rows)),
+	}
+	for l, an := range p.leaves {
+		if fp, ok := an.(FuncPreparer); ok {
+			w.prepared[l] = fp.NewPrepared()
+		}
+	}
+	return w
+}
+
+// EvaluateFunc adds f's all-pairs queries to rep, which must have a
+// row for every analysis of the plan.
+func (w *Workspace) EvaluateFunc(f *ir.Func, rep *Report) {
+	p := w.plan
+	clear(w.seen)
+	w.vals = appendPointerValues(w.vals[:0], f, w.seen)
+	n := len(w.vals)
+	if n < 2 {
+		return
+	}
+	w.ptrs, w.idx = w.ptrs[:0], w.idx[:0]
+	for _, v := range w.vals {
+		var ptr Pointer
+		ptr, w.idx = preparePointer(Loc(v), w.idx)
+		w.ptrs = append(w.ptrs, ptr)
+	}
+	for _, pr := range w.prepared {
+		if pr != nil {
+			pr.Prepare(f, w.ptrs)
+		}
+	}
+	for r, an := range p.rows {
+		w.counts[r] = rep.PerAnalysis[an.Name()]
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for l := range w.answers {
+				w.answers[l] = unanswered
+			}
+			for r, leaves := range p.rowLeaves {
+				// A chain's first definitive leaf answer wins; later
+				// leaves are not asked.
+				res := MayAlias
+				for _, l := range leaves {
+					a := w.answers[l]
+					if a == unanswered {
+						if pr := w.prepared[l]; pr != nil {
+							a = pr.Pair(i, j)
+						} else {
+							a = p.leaves[l].Alias(w.ptrs[i].Loc, w.ptrs[j].Loc)
+						}
+						w.answers[l] = a
+					}
+					if a != MayAlias {
+						res = a
+						break
+					}
+				}
+				c := w.counts[r]
 				c.Queries++
-				switch an.Alias(la, lb) {
+				switch res {
 				case NoAlias:
 					c.No++
 				case MustAlias:
@@ -100,28 +226,34 @@ func MayAliasOnly(f *ir.Func, rep *Report, analyses ...Analysis) {
 }
 
 // PointerValues collects the pointer-typed values visible in f, in a
-// deterministic order: parameters, then globals referenced by f, then
-// instruction results in block order.
+// deterministic order: parameters first, then, in instruction order,
+// each instruction's not yet collected global operands followed by its
+// result.
 func PointerValues(f *ir.Func) []ir.Value {
-	var out []ir.Value
-	seen := map[ir.Value]bool{}
-	add := func(v ir.Value) {
-		if !seen[v] && ir.IsPtr(v.Type()) {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
+	return appendPointerValues(nil, f, nil)
+}
+
+// appendPointerValues appends PointerValues(f) to out. Parameters and
+// instruction results are distinct values by construction, so only
+// globals are deduplicated, through seen (allocated when nil).
+func appendPointerValues(out []ir.Value, f *ir.Func, seen map[*ir.Global]bool) []ir.Value {
 	for _, p := range f.Params {
-		add(p)
+		if ir.IsPtr(p.Typ) {
+			out = append(out, p)
+		}
 	}
 	f.Instrs(func(in *ir.Instr) bool {
 		for _, a := range in.Args {
-			if g, ok := a.(*ir.Global); ok {
-				add(g)
+			if g, ok := a.(*ir.Global); ok && !seen[g] {
+				if seen == nil {
+					seen = map[*ir.Global]bool{}
+				}
+				seen[g] = true
+				out = append(out, g)
 			}
 		}
-		if in.HasResult() {
-			add(in)
+		if in.HasResult() && ir.IsPtr(in.Typ) {
+			out = append(out, in)
 		}
 		return true
 	})
@@ -142,23 +274,29 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
+// Add sums o's counts into r in place, registering the analyses r
+// lacks in o's order.
+func (r *Report) Add(o *Report) {
+	for _, an := range o.Order {
+		c, ok := r.PerAnalysis[an]
+		if !ok {
+			c = &Counts{}
+			r.PerAnalysis[an] = c
+			r.Order = append(r.Order, an)
+		}
+		src := o.PerAnalysis[an]
+		c.Queries += src.Queries
+		c.No += src.No
+		c.May += src.May
+		c.Must += src.Must
+	}
+}
+
 // MergeReports sums reports from several modules (same analysis set).
 func MergeReports(name string, reps ...*Report) *Report {
 	out := &Report{Module: name, PerAnalysis: map[string]*Counts{}}
 	for _, r := range reps {
-		for _, an := range r.Order {
-			c, ok := out.PerAnalysis[an]
-			if !ok {
-				c = &Counts{}
-				out.PerAnalysis[an] = c
-				out.Order = append(out.Order, an)
-			}
-			src := r.PerAnalysis[an]
-			c.Queries += src.Queries
-			c.No += src.No
-			c.May += src.May
-			c.Must += src.Must
-		}
+		out.Add(r)
 	}
 	return out
 }

@@ -1,0 +1,14 @@
+package alias
+
+import "repro/internal/ir"
+
+// PreparePointers prepares vals as the evaluator does, for the external
+// tests that compare each analysis's Prepared against its Alias.
+func PreparePointers(vals []ir.Value) []Pointer {
+	ptrs := make([]Pointer, len(vals))
+	var buf []scaledIdx
+	for i, v := range vals {
+		ptrs[i], buf = preparePointer(Loc(v), buf)
+	}
+	return ptrs
+}

@@ -2,6 +2,7 @@ package alias
 
 import (
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/rangeanal"
 )
 
@@ -38,34 +39,88 @@ func (s *SRAA) Name() string { return "LT" }
 
 // Alias applies Definition 3.11.
 func (s *SRAA) Alias(a, b Location) Result {
-	p1, p2 := a.Ptr, b.Ptr
+	pa, _ := preparePointer(a, nil)
+	pb, _ := preparePointer(b, nil)
+	// Values of different functions are never ordered: each function's
+	// LT sets index only its own variables.
+	var lt core.FuncLT
+	if pa.fn == pb.fn {
+		lt = s.lt.Func(pa.fn)
+	}
+	fa, fb := s.fact(lt, &pa), s.fact(lt, &pb)
+	return s.pair(lt, &pa, &pb, &fa, &fb)
+}
+
+// ltFact is the per-pointer half of Definition 3.11.
+type ltFact struct {
+	// ptr is the pointer's dense LT index (-1 when unindexed).
+	ptr int32
+	// off is the LT index of the pointer's variable offset when it has
+	// the shape base + x·scale (one variable index, no constant part),
+	// and scale that scale; otherwise off is -1.
+	off   int32
+	scale int64
+	// iv is the byte-offset interval from the base; ivOK is false when
+	// it is unknown or the range extension is off.
+	iv   rangeanal.Interval
+	ivOK bool
+}
+
+func (s *SRAA) fact(lt core.FuncLT, p *Pointer) ltFact {
+	f := ltFact{ptr: lt.Index(p.Loc.Ptr), off: -1}
+	if len(p.d.varIdx) == 1 && p.d.constOff == 0 {
+		f.off, f.scale = lt.Index(p.d.varIdx[0].idx), p.d.varIdx[0].scale
+	}
+	if s.ranges != nil {
+		f.iv, f.ivOK = s.offsetInterval(p.d)
+	}
+	return f
+}
+
+// pair is Definition 3.11 over two prepared pointers.
+func (s *SRAA) pair(lt core.FuncLT, a, b *Pointer, fa, fb *ltFact) Result {
 	// Criterion 1: direct strict ordering between the pointers.
-	if s.lt.LessThan(p1, p2) || s.lt.LessThan(p2, p1) {
+	if lt.Less(fa.ptr, fb.ptr) || lt.Less(fb.ptr, fa.ptr) {
 		return NoAlias
+	}
+	if a.d.base != b.d.base {
+		return MayAlias
 	}
 	// Criterion 2: common base with strictly ordered offsets. Only a
 	// single GEP level is compared — offsets must measure from the
 	// same base in the same units.
-	da, db := decompose(p1), decompose(p2)
-	if da.base == db.base && len(da.varIdx) == 1 && len(db.varIdx) == 1 &&
-		da.constOff == 0 && db.constOff == 0 &&
-		da.varIdx[0].scale == db.varIdx[0].scale {
-		x1, x2 := da.varIdx[0].idx, db.varIdx[0].idx
-		if s.lt.LessThan(x1, x2) || s.lt.LessThan(x2, x1) {
-			return NoAlias
-		}
+	if fa.scale == fb.scale && (lt.Less(fa.off, fb.off) || lt.Less(fb.off, fa.off)) {
+		return NoAlias
 	}
 	// Extension (range-supported sraa bundle): common base with
 	// provably disjoint byte-offset intervals, covering constant
 	// subscripts as degenerate ranges.
-	if s.ranges != nil && da.base == db.base {
-		o1, ok1 := s.offsetInterval(da)
-		o2, ok2 := s.offsetInterval(db)
-		if ok1 && ok2 && disjointBytes(o1, a.Size, o2, b.Size) {
-			return NoAlias
-		}
+	if fa.ivOK && fb.ivOK && disjointBytes(fa.iv, a.Loc.Size, fb.iv, b.Loc.Size) {
+		return NoAlias
 	}
 	return MayAlias
+}
+
+// NewPrepared implements FuncPreparer: each pointer's LT indices and
+// offset interval are looked up once per function.
+func (s *SRAA) NewPrepared() Prepared { return &sraaPrepared{s: s} }
+
+type sraaPrepared struct {
+	s     *SRAA
+	lt    core.FuncLT
+	ptrs  []Pointer
+	facts []ltFact
+}
+
+func (p *sraaPrepared) Prepare(f *ir.Func, ptrs []Pointer) {
+	p.lt, p.ptrs, p.facts = p.s.lt.Func(f), ptrs, p.facts[:0]
+	for i := range ptrs {
+		p.facts = append(p.facts, p.s.fact(p.lt, &ptrs[i]))
+	}
+}
+
+func (p *sraaPrepared) Pair(i, j int) Result {
+	return p.s.pair(p.lt, &p.ptrs[i], &p.ptrs[j], &p.facts[i], &p.facts[j])
 }
 
 // offsetInterval computes the byte-offset interval of a decomposed

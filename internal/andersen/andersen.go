@@ -719,19 +719,43 @@ func (a *Analysis) PointsTo(v ir.Value) (sites []ir.Value, unknown bool) {
 // Alias answers a query from disjointness of points-to sets: two
 // pointers with non-empty, disjoint, fully known sets cannot alias.
 func (a *Analysis) Alias(la, lb alias.Location) alias.Result {
+	return pair(a.knownSet(la.Ptr), a.knownSet(lb.Ptr))
+}
+
+// knownSet is the per-pointer half of Alias: v's points-to set when it
+// is non-empty and fully known, nil otherwise.
+func (a *Analysis) knownSet(v ir.Value) *bitvec.Set {
 	if a.degraded != nil {
-		return alias.MayAlias
+		return nil
 	}
-	pa := a.pts[la.Ptr]
-	pb := a.pts[lb.Ptr]
-	if pa == nil || pb == nil || pa.Empty() || pb.Empty() {
-		return alias.MayAlias
+	s := a.pts[v]
+	if s == nil || s.Empty() || s.Has(unknownObj) {
+		return nil
 	}
-	if pa.Has(unknownObj) || pb.Has(unknownObj) {
-		return alias.MayAlias
-	}
-	if pa.Intersects(pb) {
+	return s
+}
+
+func pair(x, y *bitvec.Set) alias.Result {
+	if x == nil || y == nil || x.Intersects(y) {
 		return alias.MayAlias
 	}
 	return alias.NoAlias
 }
+
+// NewPrepared implements alias.FuncPreparer: each pointer's set is
+// looked up once per function.
+func (a *Analysis) NewPrepared() alias.Prepared { return &prepared{a: a} }
+
+type prepared struct {
+	a    *Analysis
+	sets []*bitvec.Set
+}
+
+func (p *prepared) Prepare(_ *ir.Func, ptrs []alias.Pointer) {
+	p.sets = p.sets[:0]
+	for i := range ptrs {
+		p.sets = append(p.sets, p.a.knownSet(ptrs[i].Loc.Ptr))
+	}
+}
+
+func (p *prepared) Pair(i, j int) alias.Result { return pair(p.sets[i], p.sets[j]) }

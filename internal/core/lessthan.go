@@ -362,16 +362,39 @@ func AnalyzeFunc(f *ir.Func, ranges *rangeanal.Result, opt Options) *Result {
 // must belong to the same function; unindexed values (constants,
 // globals, values of other functions) report false.
 func (r *Result) LessThan(a, b ir.Value) bool {
-	fr := r.fnOf(b)
-	if fr == nil {
-		return false
+	fl := FuncLT{r.fnOf(b)}
+	return fl.Less(fl.Index(a), fl.Index(b))
+}
+
+// FuncLT is one function's LT sets addressed by dense variable index,
+// for clients that ask many queries about the same values: Index maps
+// each value once, and Less then costs one bit test. Every variable of
+// a function belongs to it (its parameters and instruction results), so
+// for a and b of one function LessThan(a, b) equals
+// Func(f).Less(Func(f).Index(a), Func(f).Index(b)).
+type FuncLT struct{ fr *funcResult }
+
+// Func returns f's LT sets; a function the analysis did not cover
+// yields a FuncLT that indexes nothing.
+func (r *Result) Func(f *ir.Func) FuncLT { return FuncLT{r.fns[f]} }
+
+// Index returns v's dense variable index, or -1 when v is not one of
+// the function's analyzed variables (constants, globals, values of
+// other functions).
+func (fl FuncLT) Index(v ir.Value) int32 {
+	if fl.fr == nil {
+		return -1
 	}
-	ai, aok := fr.index[a]
-	bi, bok := fr.index[b]
-	if !aok || !bok {
-		return false
+	if i, ok := fl.fr.index[v]; ok {
+		return int32(i)
 	}
-	return fr.sets[bi].has(ai)
+	return -1
+}
+
+// Less reports whether variable i is proven strictly less than
+// variable j; index -1 is less than nothing and greater than nothing.
+func (fl FuncLT) Less(i, j int32) bool {
+	return i >= 0 && j >= 0 && fl.fr.sets[j].has(int(i))
 }
 
 // LT returns the members of LT(x), i.e. every variable proven

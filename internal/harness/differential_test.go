@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alias"
 	"repro/internal/core"
 	"repro/internal/corpus"
 )
@@ -147,5 +148,33 @@ func TestDifferentialUnderFault(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialEvaluateJobs: Evaluate's workers, each with its own
+// evaluation workspace over one shared plan, produce the serial report
+// for the paper's full row set (CF and ST included), and that report is
+// alias.Evaluate's. CI runs it under the race detector.
+func TestDifferentialEvaluateJobs(t *testing.T) {
+	for _, p := range append(corpus.Spec()[:4], corpus.TestSuite(6)...) {
+		var reps []string
+		for _, jobs := range []int{1, 4} {
+			pipe := New(Config{Jobs: jobs, WithCF: true, WithST: true})
+			res, err := pipe.CompileAndAnalyze(p.Name, p.Source)
+			if err != nil {
+				t.Fatalf("%s: pipeline error: %v", p.Name, err)
+			}
+			ba := alias.NewBasic(res.Module)
+			lt := alias.NewSRAA(res.LT)
+			rows := []alias.Analysis{ba, lt, alias.NewChain(ba, lt), res.ST, alias.NewChain(ba, res.CF)}
+			got := res.Evaluate(rows...).String()
+			if want := alias.Evaluate(res.Module, rows...).String(); got != want {
+				t.Fatalf("%s: jobs=%d harness report differs from alias.Evaluate:\n%s\n%s", p.Name, jobs, got, want)
+			}
+			reps = append(reps, got)
+		}
+		if reps[0] != reps[1] {
+			t.Fatalf("%s: jobs=4 report differs from serial:\n%s\n%s", p.Name, reps[0], reps[1])
+		}
 	}
 }

@@ -40,6 +40,7 @@ type Result struct {
 func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 	p := r.p
 	m := r.Module
+	plan := alias.NewPlan(analyses...)
 	// Per-function slots: workers fill them, the calling goroutine
 	// merges in module function order (see parallel.go).
 	type slot struct {
@@ -48,7 +49,7 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 		degraded bool
 	}
 	slots := make([]slot, len(m.Funcs))
-	evalOne := func(i int, f *ir.Func) {
+	evalOne := func(i int, f *ir.Func, w *alias.Workspace) {
 		s := &slots[i]
 		if p.skip[f] {
 			// The IR may be broken; even enumeration runs contained.
@@ -63,7 +64,7 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 		}
 		fRep := alias.NewReport(m.Name, analyses...)
 		fail := p.contain(StageAliasEval, f.FName, true, func() {
-			alias.EvaluateFunc(f, fRep, analyses...)
+			w.EvaluateFunc(f, fRep)
 		})
 		if fail != nil {
 			s.fails = append(s.fails, *fail)
@@ -78,9 +79,11 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 		s.rep = fRep
 	}
 
+	// One workspace per goroutine: the plan is shared, buffers are not.
 	if jobs := min(p.jobs(), len(m.Funcs)); jobs <= 1 {
+		w := plan.NewWorkspace()
 		for i, f := range m.Funcs {
-			evalOne(i, f)
+			evalOne(i, f, w)
 		}
 	} else {
 		ch := make(chan int)
@@ -89,8 +92,9 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				ws := plan.NewWorkspace()
 				for i := range ch {
-					evalOne(i, m.Funcs[i])
+					evalOne(i, m.Funcs[i], ws)
 				}
 			}()
 		}
@@ -111,7 +115,7 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 			p.rep.markDegraded(f.FName, StageAliasEval)
 		}
 		if s.rep != nil {
-			rep = alias.MergeReports(m.Name, rep, s.rep)
+			rep.Add(s.rep)
 		}
 	}
 	return rep

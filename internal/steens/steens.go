@@ -106,6 +106,7 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
 	}
 	s.propagateGrounded()
 	a.degraded = bgt.Err()
+	a.u.flatten()
 	return a
 }
 
@@ -342,38 +343,66 @@ func (a *Analysis) classOf(v ir.Value) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	c := a.u.find(n)
+	c := a.u.root(n)
 	if a.ptd[c] == -1 {
 		return 0, false
 	}
-	return a.u.find(a.ptd[c]), true
+	return a.u.root(a.ptd[c]), true
+}
+
+// fact is the per-pointer half of the NoAlias rule: v's points-to class
+// and whether NoAlias may rest on it at all — the analysis is not
+// degraded, and the class exists, is grounded, is not the unknown
+// class and holds an object. Each guard discharges one way a naive
+// class comparison could contradict Andersen (see the package comment).
+type fact struct {
+	class  int32
+	usable bool
+}
+
+func (a *Analysis) factOf(v ir.Value, unknown int32) fact {
+	c, ok := a.classOf(v)
+	return fact{class: c, usable: a.degraded == nil && ok && a.grounded[v] &&
+		c != unknown && a.objCount[c] > 0}
+}
+
+// pair reports NoAlias only for two usable, distinct classes.
+func pair(x, y fact) alias.Result {
+	if x.usable && y.usable && x.class != y.class {
+		return alias.NoAlias
+	}
+	return alias.MayAlias
 }
 
 // Alias reports NoAlias only for distinct, grounded, unknown-free,
-// object-bearing classes; everything else is MayAlias. Each guard
-// discharges one way a naive class comparison could contradict
-// Andersen (see the package comment).
+// object-bearing classes; everything else is MayAlias.
 func (a *Analysis) Alias(la, lb alias.Location) alias.Result {
-	if a.degraded != nil {
-		return alias.MayAlias
-	}
-	ca, oka := a.classOf(la.Ptr)
-	cb, okb := a.classOf(lb.Ptr)
-	if !oka || !okb {
-		return alias.MayAlias
-	}
-	if ca == cb {
-		return alias.MayAlias
-	}
-	if !a.grounded[la.Ptr] || !a.grounded[lb.Ptr] {
-		return alias.MayAlias
-	}
-	unk := a.u.find(a.unknown)
-	if ca == unk || cb == unk {
-		return alias.MayAlias
-	}
-	if a.objCount[ca] == 0 || a.objCount[cb] == 0 {
-		return alias.MayAlias
-	}
-	return alias.NoAlias
+	unk := a.unknownClass()
+	return pair(a.factOf(la.Ptr, unk), a.factOf(lb.Ptr, unk))
 }
+
+func (a *Analysis) unknownClass() int32 {
+	if a.u.len() == 0 {
+		return -1 // Unanalyzed: no nodes, and every fact is unusable
+	}
+	return a.u.root(a.unknown)
+}
+
+// NewPrepared implements alias.FuncPreparer: each pointer's class is
+// looked up once per function.
+func (a *Analysis) NewPrepared() alias.Prepared { return &prepared{a: a} }
+
+type prepared struct {
+	a     *Analysis
+	facts []fact
+}
+
+func (p *prepared) Prepare(_ *ir.Func, ptrs []alias.Pointer) {
+	unk := p.a.unknownClass()
+	p.facts = p.facts[:0]
+	for i := range ptrs {
+		p.facts = append(p.facts, p.a.factOf(ptrs[i].Loc.Ptr, unk))
+	}
+}
+
+func (p *prepared) Pair(i, j int) alias.Result { return pair(p.facts[i], p.facts[j]) }

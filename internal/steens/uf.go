@@ -26,6 +26,23 @@ func (u *uf) find(n int32) int32 {
 	return n
 }
 
+// root returns n's class representative without modifying the
+// structure, so concurrent queries may share it.
+func (u *uf) root(n int32) int32 {
+	for u.parent[n] != n {
+		n = u.parent[n]
+	}
+	return n
+}
+
+// flatten points every node directly at its representative, so root
+// takes at most one step once solving is done.
+func (u *uf) flatten() {
+	for n := range u.parent {
+		u.parent[n] = u.find(int32(n))
+	}
+}
+
 // union merges the classes of a and b and returns (winner, loser) as
 // representatives; when already unified, winner == loser.
 func (u *uf) union(a, b int32) (winner, loser int32) {
