@@ -603,35 +603,3 @@ func BenchmarkMemoCache(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSolverRepresentation compares the dense-bitset solver with
-// the adaptive small-set solver (core.Options.SmallSets) over the
-// SPEC suite — the speed avenue the paper's conclusion leaves open,
-// motivated by its observation that over 95% of LT sets hold two or
-// fewer elements. Run with -bench SolverRepresentation to see the
-// per-variant ns/op.
-func BenchmarkSolverRepresentation(b *testing.B) {
-	progs := corpus.Spec()
-	for _, variant := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"bitset", core.Options{}},
-		{"smallset", core.Options{SmallSets: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, p := range progs {
-					m, err := minic.Compile(p.Name, p.Source)
-					if err != nil {
-						b.Fatal(err)
-					}
-					prep := core.Prepare(m, core.PipelineOptions{Analysis: variant.opt})
-					if prep.LT.Stats.Vars == 0 {
-						b.Fatal("no variables")
-					}
-				}
-			}
-		})
-	}
-}

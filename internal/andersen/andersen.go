@@ -28,8 +28,9 @@
 // through a load or store edge stops costing quadratic re-propagation.
 // Final sets are hash-consed, so the many values that end with equal
 // points-to sets share one allocation. The fixed point — and therefore
-// every PointsTo and Alias answer — is identical to the reference
-// solver's (see reference.go); only the route there differs.
+// every PointsTo and Alias answer — is identical to the test-only
+// reference solver's (see reference_test.go); only the route there
+// differs.
 package andersen
 
 import (
@@ -219,8 +220,8 @@ func applyConstraints(m *ir.Module, opt Opts, gen constraintSink) {
 }
 
 // constraintSink receives the module's constraints; the sparse solver
-// and the reference solver both implement it, which is what lets the
-// differential test drive them off one traversal.
+// and the test-only reference solver both implement it, which is what
+// lets the differential test drive them off one traversal.
 type constraintSink interface {
 	newObj(site ir.Value) int
 	seedUnknownContents()

@@ -108,8 +108,9 @@ func TestSparseMatchesReferenceDeepPointers(t *testing.T) {
 }
 
 // BenchmarkSolvers compares the sparse solver against the reference on
-// a csmith-generated module; the benchmark harness in cmd/scalability
-// reports the same ratio at 1k/10k/100k functions.
+// a csmith-generated module (go test -bench Solvers ./internal/andersen/).
+// The sparse solver's cost inside the whole stack is cmd/sraaperf's
+// andersen.solve layer.
 func BenchmarkSolvers(b *testing.B) {
 	src := csmith.Generate(csmith.Config{Seed: 42, MaxPtrDepth: 4, Stmts: 200})
 	m := minic.MustCompile("bench", src)

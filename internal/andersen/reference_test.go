@@ -1,10 +1,9 @@
 // The reference solver: the original map-based worklist implementation
 // of the same constraint system. It computes the identical least fixed
 // point as the sparse solver in andersen.go but without dense nodes,
-// difference propagation, or cycle collapsing, so it serves two
-// purposes: it is the differential-testing oracle the optimized solver
-// is checked against, and it is the "pre-PR Andersen path" the
-// benchmark harness measures speedups relative to.
+// difference propagation, or cycle collapsing. It is test-only: the
+// differential oracle the sparse solver is checked against, and the
+// baseline BenchmarkSolvers measures it relative to.
 package andersen
 
 import (

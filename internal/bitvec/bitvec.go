@@ -1,21 +1,24 @@
-// Package bitvec provides the sparse bitmap set the reworked points-to
-// solvers are built on, plus a hash-consing interner that lets equal
-// sets share one allocation.
+// Package bitvec provides the one sparse bitmap set of the analysis
+// stack, plus a hash-consing interner that lets equal sets share one
+// allocation. The points-to solvers keep their points-to sets in it,
+// and the less-than solver (internal/core) its LT sets.
 //
 // The representation is a sorted slice of (base, word) chunks: only
 // 64-element windows that actually contain members are materialized,
 // so a set over a 100k-object universe costs memory proportional to
-// its population, not the universe. Union returns whether it grew, and
-// UnionDelta additionally returns exactly the new elements — the
-// primitive behind difference (delta) propagation, where a solver
-// forwards only what a set gained since the last visit instead of
-// re-walking the whole set.
+// its population, not the universe. Chunks with an all-zero word are
+// never kept, so equal sets have equal chunk slices. Union returns
+// whether it grew, and UnionDelta additionally returns exactly the new
+// elements — the primitive behind difference (delta) propagation,
+// where a solver forwards only what a set gained since the last visit
+// instead of re-walking the whole set.
 //
 // The interner deduplicates repetitive solver state (the MDE
 // observation: most points-to sets in a big module are copies of each
-// other). Interned sets are canonical and MUST be treated as
-// immutable; Interner.Intern returns the canonical instance for any
-// equal set, so equality between interned sets is pointer equality.
+// other, and most LT sets converge to a few shapes). Interned sets are
+// canonical and MUST be treated as immutable; Interner.Intern returns
+// the canonical instance for any equal set, so equality between
+// interned sets is pointer equality.
 package bitvec
 
 import (
@@ -64,6 +67,23 @@ func (s *Set) Add(i int) bool {
 	s.chunks = append(s.chunks, chunk{})
 	copy(s.chunks[pos+1:], s.chunks[pos:])
 	s.chunks[pos] = chunk{base: base, word: bit}
+	return true
+}
+
+// Remove deletes i and reports whether the set changed.
+func (s *Set) Remove(i int) bool {
+	if i < 0 {
+		return false
+	}
+	base, bit := int32(i/64), uint64(1)<<(uint(i)%64)
+	pos, ok := s.find(base)
+	if !ok || s.chunks[pos].word&bit == 0 {
+		return false
+	}
+	s.chunks[pos].word &^= bit
+	if s.chunks[pos].word == 0 {
+		s.chunks = append(s.chunks[:pos], s.chunks[pos+1:]...)
+	}
 	return true
 }
 
@@ -169,6 +189,25 @@ func (s *Set) merge(o *Set, onNew func(base int32, word uint64)) {
 	}
 }
 
+// IntersectWith narrows s to the members it shares with o.
+func (s *Set) IntersectWith(o *Set) {
+	kept, j := s.chunks[:0], 0
+	for _, c := range s.chunks {
+		for j < len(o.chunks) && o.chunks[j].base < c.base {
+			j++
+		}
+		if j == len(o.chunks) {
+			break
+		}
+		if o.chunks[j].base == c.base {
+			if w := c.word & o.chunks[j].word; w != 0 {
+				kept = append(kept, chunk{base: c.base, word: w})
+			}
+		}
+	}
+	s.chunks = kept
+}
+
 // ForEach visits the members in ascending order; returning false
 // stops the walk.
 func (s *Set) ForEach(f func(i int) bool) {
@@ -241,8 +280,6 @@ func (s *Set) Clone() *Set {
 // Not safe for concurrent use; give each solver its own.
 type Interner struct {
 	table map[uint64][]*Set
-	// hits counts Intern calls answered by an existing canonical set.
-	hits, misses int
 }
 
 // NewInterner returns an empty interner.
@@ -266,15 +303,9 @@ func (t *Interner) Intern(s *Set) *Set {
 	fp := fingerprint(s)
 	for _, cand := range t.table[fp] {
 		if cand.Equal(s) {
-			t.hits++
 			return cand
 		}
 	}
-	t.misses++
 	t.table[fp] = append(t.table[fp], s)
 	return s
 }
-
-// Stats reports (canonical sets, hits): how much sharing interning
-// achieved.
-func (t *Interner) Stats() (unique, hits int) { return t.misses, t.hits }

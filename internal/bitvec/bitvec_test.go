@@ -3,6 +3,7 @@ package bitvec
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func fromElems(elems ...int) *Set {
@@ -190,8 +191,122 @@ func TestInternIdentity(t *testing.T) {
 	if empty1 != empty2 {
 		t.Error("empty sets interned to different pointers")
 	}
-	if unique, hits := in.Stats(); unique != 3 || hits != 2 {
-		t.Errorf("Stats() = (%d, %d), want (3, 2)", unique, hits)
+}
+
+func TestIntersectWith(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b []int
+		want []int
+	}{
+		{"empty-empty", nil, nil, nil},
+		{"with-empty", []int{1, 70}, nil, nil},
+		{"empty-with", nil, []int{1, 70}, nil},
+		{"disjoint-same-word", []int{1}, []int{2}, nil},
+		{"disjoint-chunks", []int{0, 128}, []int{64, 192}, nil},
+		{"subset", []int{1, 70, 500}, []int{70}, []int{70}},
+		{"equal", []int{3, 64}, []int{3, 64}, []int{3, 64}},
+		{"partial-cross-words", []int{1, 2, 64, 129, 1000}, []int{2, 63, 129, 999}, []int{2, 129}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := fromElems(tc.a...), fromElems(tc.b...)
+			before := b.Clone()
+			a.IntersectWith(b)
+			if want := fromElems(tc.want...); !a.Equal(want) {
+				t.Fatalf("intersection = %v, want %v", a.Elems(), tc.want)
+			}
+			if !b.Equal(before) {
+				t.Error("IntersectWith mutated its operand")
+			}
+		})
+	}
+}
+
+func TestRemove(t *testing.T) {
+	s := fromElems(3, 64, 100)
+	if s.Remove(4) || s.Remove(-1) || s.Remove(1000) {
+		t.Error("Remove of a non-member reported a change")
+	}
+	if !s.Remove(64) || s.Has(64) {
+		t.Error("Remove(64) did not delete the member")
+	}
+	if !s.Remove(100) {
+		t.Error("Remove(100) did not delete the member")
+	}
+	// Emptying a chunk must drop it, so equal sets stay Equal and
+	// intern to one instance.
+	if !s.Equal(fromElems(3)) {
+		t.Errorf("after removals = %v, want [3]", s.Elems())
+	}
+	if !s.Remove(3) || !s.Empty() {
+		t.Errorf("after removing every member = %v, want empty", s.Elems())
+	}
+}
+
+// fromBytes builds a set from quick-generated members.
+func fromBytes(bs []byte) *Set {
+	s := &Set{}
+	for _, b := range bs {
+		s.Add(int(b) * 3) // spread across several chunks
+	}
+	return s
+}
+
+// TestLatticeProperties property-checks the set operations a fixed-point
+// solver's correctness rests on: ∪ and ∩ must behave like a lattice's
+// join and meet (commutative, idempotent, absorbing), and membership
+// must agree with construction.
+func TestLatticeProperties(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 1500}
+	union := func(a, b []byte) *Set {
+		s := fromBytes(a)
+		s.UnionWith(fromBytes(b))
+		return s
+	}
+	inter := func(a, b []byte) *Set {
+		s := fromBytes(a)
+		s.IntersectWith(fromBytes(b))
+		return s
+	}
+	props := []struct {
+		name string
+		f    any
+	}{
+		{"union-commutative", func(a, b []byte) bool { return union(a, b).Equal(union(b, a)) }},
+		{"union-idempotent", func(a []byte) bool { return union(a, a).Equal(fromBytes(a)) }},
+		{"inter-commutative", func(a, b []byte) bool { return inter(a, b).Equal(inter(b, a)) }},
+		{"inter-idempotent", func(a []byte) bool { return inter(a, a).Equal(fromBytes(a)) }},
+		{"absorption", func(a, b []byte) bool {
+			s := fromBytes(a)
+			s.IntersectWith(union(a, b))
+			return s.Equal(fromBytes(a))
+		}},
+		{"inter-membership", func(a, b []byte, probe byte) bool {
+			e := int(probe) * 3
+			return inter(a, b).Has(e) == (fromBytes(a).Has(e) && fromBytes(b).Has(e))
+		}},
+		{"membership", func(a []byte, probe byte) bool {
+			want := false
+			for _, x := range a {
+				want = want || x == probe
+			}
+			return fromBytes(a).Has(int(probe)*3) == want
+		}},
+		{"remove", func(a []byte, probe byte) bool {
+			// Remove drops exactly the probe: s ⊆ a, probe ∉ s, and at
+			// most one member gone.
+			s := fromBytes(a)
+			s.Remove(int(probe) * 3)
+			sub := fromBytes(a)
+			sub.IntersectWith(s)
+			return !s.Has(int(probe)*3) && sub.Equal(s) && s.Len() >= fromBytes(a).Len()-1
+		}},
+	}
+	for _, p := range props {
+		if err := quick.Check(p.f, cfg); err != nil {
+			t.Errorf("%s: %v", p.name, err)
+		}
 	}
 }
 

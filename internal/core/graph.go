@@ -25,7 +25,7 @@ func (r *Result) InequalityGraph(f *ir.Func) []InequalityEdge {
 	}
 	var edges []InequalityEdge
 	for i, s := range fr.sets {
-		for _, j := range s.elems() {
+		for _, j := range s.Elems() {
 			edges = append(edges, InequalityEdge{
 				Less:    fr.vars[j],
 				Greater: fr.vars[i],

@@ -1,3 +1,19 @@
+// Package core implements the paper's contribution: the sparse strict
+// less-than analysis of Section 3 and the pointer disambiguation
+// criteria of Definition 3.11.
+//
+// For every SSA variable x (integer or pointer — the analysis works
+// uniformly on scalars), the analysis computes a set LT(x) of
+// variables known to hold values strictly less than x whenever both
+// are alive. Constraints are generated from the e-SSA form
+// (internal/essa) by the rules of Figure 7, using interval ranges
+// (internal/rangeanal) to classify additions whose operands are not
+// constants, and solved by a descending worklist over the lattice
+// (P(V), ⊆, ∩): sets start at V (conceptually; the solver never
+// materializes it) and only shrink, so the paper's termination
+// argument (Lemma 3.6, Theorem 3.7) carries over directly. LT sets are
+// internal/bitvec sets over variable indices, hash-consed so the many
+// variables with equal sets share one instance.
 package core
 
 import (
@@ -7,6 +23,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/bitvec"
 	"repro/internal/budget"
 	"repro/internal/ir"
 	"repro/internal/rangeanal"
@@ -23,11 +40,6 @@ type Options struct {
 	// non-negative additions (x1 = x2 + n, n >= 0 implies
 	// LT(x2) ⊆ LT(x1)), a sound extension beyond Figure 7.
 	NonStrict bool
-	// SmallSets selects the adaptive small-set solver representation
-	// (see smallset.go), the speed avenue the paper's conclusion
-	// leaves open. Results are identical; only the data structure
-	// differs.
-	SmallSets bool
 
 	// Budget bounds each function's constraint generation and solve.
 	// An exhausted function degrades to the sound empty result (no LT
@@ -150,10 +162,13 @@ func (r *Result) markDegraded(f *ir.Func, cause string) {
 	r.Degraded[f] = cause
 }
 
+// funcResult is one function's solved analysis: sets[i] is LT(vars[i])
+// over variable indices. Variables may share one set instance, so sets
+// are never mutated once stored.
 type funcResult struct {
 	index map[ir.Value]int
 	vars  []ir.Value
-	sets  []*ltSet
+	sets  []*bitvec.Set
 }
 
 // constraint kinds.
@@ -394,7 +409,7 @@ func (fl FuncLT) Index(v ir.Value) int32 {
 // Less reports whether variable i is proven strictly less than
 // variable j; index -1 is less than nothing and greater than nothing.
 func (fl FuncLT) Less(i, j int32) bool {
-	return i >= 0 && j >= 0 && fl.fr.sets[j].has(int(i))
+	return i >= 0 && j >= 0 && fl.fr.sets[j].Has(int(i))
 }
 
 // LT returns the members of LT(x), i.e. every variable proven
@@ -408,7 +423,7 @@ func (r *Result) LT(x ir.Value) []ir.Value {
 	if !ok {
 		return nil
 	}
-	idxs := fr.sets[xi].elems()
+	idxs := fr.sets[xi].Elems()
 	out := make([]ir.Value, len(idxs))
 	for i, vi := range idxs {
 		out[i] = fr.vars[vi]
@@ -432,7 +447,7 @@ func (r *Result) fnOf(v ir.Value) *funcResult {
 func sizesOf(fr *funcResult) map[int]int {
 	h := map[int]int{}
 	for _, s := range fr.sets {
-		h[s.count()]++
+		h[s.Len()]++
 	}
 	return h
 }
@@ -507,11 +522,7 @@ func analyzeFuncBudgeted(f *ir.Func, ranges *rangeanal.Result, opt Options, seed
 		}
 	}
 
-	if opt.SmallSets {
-		solveSmall(fr, cons, &st, bgt)
-	} else {
-		solve(fr, cons, &st, bgt)
-	}
+	solve(fr, cons, &st, bgt)
 	st.SetSizes = sizesOf(fr)
 	return fr, st
 }
@@ -737,11 +748,56 @@ func (g *generator) sibling(in *ir.Instr) *ir.Instr {
 	return nil
 }
 
-// solverHook, when non-nil, observes every set update of the bitset
-// solver (target index, previous set, next set). The test suite uses
-// it to verify Lemma 3.6 — updates are monotonically decreasing — on
-// real workloads.
-var solverHook func(target int, prev, next *ltSet)
+// solverHook, when non-nil, observes every set update of the solver
+// (target index, previous set, next set; nil is top). The test suite
+// uses it to verify Lemma 3.6 — updates are monotonically decreasing —
+// on real workloads.
+var solverHook func(target int, prev, next *bitvec.Set)
+
+// evalConstraint computes the right-hand side of c over the current
+// sets. A nil set is top, V, the lattice's initial value, which is
+// never materialized and never reaches a bitvec method: a union that
+// mentions top is top, and an intersection skips top operands, so it
+// is top only when every operand is. The result may be one of sets'
+// own (shared, immutable) instances.
+func evalConstraint(c constraint, sets []*bitvec.Set) *bitvec.Set {
+	switch c.kind {
+	case cUnion:
+		if len(c.elts) == 0 && len(c.refs) == 1 {
+			// Pure copy: share the source set instead of cloning.
+			return sets[c.refs[0]]
+		}
+		out := &bitvec.Set{}
+		for _, e := range c.elts {
+			out.Add(e)
+		}
+		for _, r := range c.refs {
+			if sets[r] == nil {
+				return nil
+			}
+			out.UnionWith(sets[r])
+		}
+		return out
+	case cInter:
+		var out *bitvec.Set
+		shared := true
+		for _, r := range c.refs {
+			switch s := sets[r]; {
+			case s == nil:
+				// top ∩ X = X.
+			case out == nil:
+				out = s
+			default:
+				if shared {
+					out, shared = out.Clone(), false
+				}
+				out.IntersectWith(s)
+			}
+		}
+		return out
+	}
+	return &bitvec.Set{}
+}
 
 // solve runs the descending worklist of Section 3.4: every set starts
 // at V (top) and constraints only remove elements, reaching the
@@ -751,16 +807,14 @@ var solverHook func(target int, prev, next *ltSet)
 // orderings that do not hold, whereas ∅ claims nothing.
 func solve(fr *funcResult, cons []constraint, st *Stats, bgt *budget.B) {
 	n := len(fr.vars)
-	fr.sets = make([]*ltSet, n)
 	// Variables with the trivial constraint LT(x) = ∅ (rule 1) are
 	// resolved immediately; only non-trivial constraints enter the
 	// worklist, matching the accounting behind the paper's ~2 pops
-	// per constraint observation.
+	// per constraint observation. Every other set starts at top (nil).
+	fr.sets = make([]*bitvec.Set, n)
 	for i := range fr.sets {
 		if cons[i].kind == cEmpty {
-			fr.sets[i] = &ltSet{}
-		} else {
-			fr.sets[i] = newTopSet()
+			fr.sets[i] = &bitvec.Set{}
 		}
 	}
 	// dependents[v] lists constraint targets whose RHS mentions LT(v).
@@ -785,40 +839,10 @@ func solve(fr *funcResult, cons []constraint, st *Stats, bgt *budget.B) {
 	// sharing nor interning changes any set's content, so the pop
 	// order, Pops count, and final sets are identical to an unshared
 	// solve.
-	intern := newLTInterner()
-	eval := func(c constraint) *ltSet {
-		switch c.kind {
-		case cEmpty:
-			return &ltSet{}
-		case cUnion:
-			if len(c.elts) == 0 && len(c.refs) == 1 {
-				// Pure copy: share the source set instead of cloning.
-				return fr.sets[c.refs[0]]
-			}
-			out := &ltSet{}
-			for _, e := range c.elts {
-				out.add(e)
-			}
-			for _, r := range c.refs {
-				out.unionWith(fr.sets[r])
-			}
-			return out
-		case cInter:
-			if len(c.refs) == 1 {
-				// top ∩ LT(r) = LT(r): share it.
-				return fr.sets[c.refs[0]]
-			}
-			out := newTopSet()
-			for _, r := range c.refs {
-				out.intersectWith(fr.sets[r])
-			}
-			return out
-		}
-		return &ltSet{}
-	}
+	intern := bitvec.NewInterner()
 	for len(work) > 0 {
 		if bgt.Tick() != nil {
-			empty := &ltSet{}
+			empty := &bitvec.Set{}
 			for i := range fr.sets {
 				fr.sets[i] = empty
 			}
@@ -828,13 +852,15 @@ func solve(fr *funcResult, cons []constraint, st *Stats, bgt *budget.B) {
 		work = work[1:]
 		inWork[t] = false
 		st.Pops++
-		next := eval(cons[t])
-		if next == fr.sets[t] || next.equal(fr.sets[t]) {
+		next, cur := evalConstraint(cons[t], fr.sets), fr.sets[t]
+		if next == cur || (next != nil && cur != nil && next.Equal(cur)) {
 			continue
 		}
-		next = intern.intern(next)
+		if next != nil {
+			next = intern.Intern(next)
+		}
 		if solverHook != nil {
-			solverHook(t, fr.sets[t], next)
+			solverHook(t, cur, next)
 		}
 		fr.sets[t] = next
 		for _, d := range dependents[t] {
@@ -844,17 +870,19 @@ func solve(fr *funcResult, cons []constraint, st *Stats, bgt *budget.B) {
 			}
 		}
 	}
-	// Residual top sets (possible only in degenerate graphs) make no
-	// sound claims once cleared.
+	empty := &bitvec.Set{}
 	for i, s := range fr.sets {
-		if s.top {
-			fr.sets[i] = &ltSet{}
-		}
-		// A variable is never strictly less than itself; guard
-		// against x < x sneaking in through equality rules.
-		if fr.sets[i].has(i) {
-			cl := fr.sets[i].clone()
-			cl.bits[i/64] &^= 1 << (uint(i) % 64)
+		switch {
+		case s == nil:
+			// Residual top sets (possible only in degenerate graphs)
+			// make no sound claims once cleared.
+			fr.sets[i] = empty
+		case s.Has(i):
+			// A variable is never strictly less than itself; guard
+			// against x < x sneaking in through equality rules. The
+			// set may be shared, so edit a copy.
+			cl := s.Clone()
+			cl.Remove(i)
 			fr.sets[i] = cl
 		}
 	}
@@ -878,7 +906,7 @@ func (r *Result) SetSizeDistribution() [][2]int {
 	h := map[int]int{}
 	for _, fr := range r.fns {
 		for _, s := range fr.sets {
-			h[s.count()]++
+			h[s.Len()]++
 		}
 	}
 	var out [][2]int

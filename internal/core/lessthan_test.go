@@ -3,7 +3,9 @@ package core
 import (
 	"sort"
 	"testing"
+	"testing/quick"
 
+	"repro/internal/bitvec"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -598,44 +600,38 @@ int f(int i, int j, int *v) {
 	}
 }
 
-func TestBitsetOps(t *testing.T) {
-	s := &ltSet{}
-	s.add(3)
-	s.add(100)
-	if !s.has(3) || !s.has(100) || s.has(4) {
-		t.Error("membership wrong")
+// TestTopLattice checks the solver's handling of top (V, a nil set),
+// which internal/bitvec knows nothing about: top is the identity of ∩
+// and absorbing for ∪, an intersection of tops stays top, and no
+// operand set is mutated — solver sets are shared and interned.
+func TestTopLattice(t *testing.T) {
+	prop := func(a, b []byte) bool {
+		sa, sb := &bitvec.Set{}, &bitvec.Set{}
+		for _, x := range a {
+			sa.Add(int(x))
+		}
+		for _, x := range b {
+			sb.Add(int(x))
+		}
+		// Variables: 0 = top, 1 = a, 2 = b.
+		sets := []*bitvec.Set{nil, sa, sb}
+		origA, origB := sa.Clone(), sb.Clone()
+		inter := func(refs ...int) *bitvec.Set {
+			return evalConstraint(constraint{kind: cInter, refs: refs}, sets)
+		}
+		union := func(elts []int, refs ...int) *bitvec.Set {
+			return evalConstraint(constraint{kind: cUnion, elts: elts, refs: refs}, sets)
+		}
+		ab := sa.Clone()
+		ab.IntersectWith(sb)
+		ok := inter(0, 1).Equal(sa) && inter(1, 0).Equal(sa) &&
+			inter(0, 1, 0, 2).Equal(ab) &&
+			inter(0) == nil && inter(0, 0) == nil &&
+			union(nil, 1, 0) == nil && union([]int{5}, 0) == nil &&
+			union(nil, 0) == nil && union([]int{5}, 1).Has(5)
+		return ok && sa.Equal(origA) && sb.Equal(origB)
 	}
-	if s.count() != 2 {
-		t.Errorf("count = %d", s.count())
-	}
-	o := &ltSet{}
-	o.add(100)
-	o.add(7)
-	u := s.clone()
-	u.unionWith(o)
-	if u.count() != 3 || !u.has(7) {
-		t.Error("union wrong")
-	}
-	i := s.clone()
-	i.intersectWith(o)
-	if i.count() != 1 || !i.has(100) {
-		t.Error("intersection wrong")
-	}
-	top := newTopSet()
-	if !top.has(12345) {
-		t.Error("top misses element")
-	}
-	ti := top.clone()
-	ti.intersectWith(s)
-	if !ti.equal(s) {
-		t.Error("top ∩ s != s")
-	}
-	tu := s.clone()
-	tu.unionWith(newTopSet())
-	if !tu.top {
-		t.Error("s ∪ top != top")
-	}
-	if got := s.elems(); len(got) != 2 || got[0] != 3 || got[1] != 100 {
-		t.Errorf("elems = %v", got)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1500}); err != nil {
+		t.Error(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitvec"
 	"repro/internal/ir"
 )
 
@@ -64,10 +65,10 @@ func exportFunc(fr *funcResult, st Stats) *FuncArtifact {
 		a.Vars[i] = v.Ref()
 	}
 	for i, s := range fr.sets {
-		if s.top {
+		if s == nil {
 			return nil
 		}
-		idxs := s.elems()
+		idxs := s.Elems()
 		out := make([]int32, len(idxs))
 		for k, e := range idxs {
 			out[k] = int32(e)
@@ -120,15 +121,15 @@ func bindFunc(f *ir.Func, art *FuncArtifact) (*funcResult, Stats, bool) {
 	if art.Stats.Instrs != instrs || art.Stats.Vars != len(fr.vars) {
 		return nil, Stats{}, false
 	}
-	fr.sets = make([]*ltSet, len(art.Sets))
+	fr.sets = make([]*bitvec.Set, len(art.Sets))
 	n := len(fr.vars)
 	for i, idxs := range art.Sets {
-		s := &ltSet{}
+		s := &bitvec.Set{}
 		for _, e := range idxs {
 			if int(e) < 0 || int(e) >= n {
 				return nil, Stats{}, false
 			}
-			s.add(int(e))
+			s.Add(int(e))
 		}
 		fr.sets[i] = s
 	}

@@ -3,24 +3,33 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/corpus"
 	"repro/internal/minic"
 )
 
-// subsetOf reports next ⊆ prev (with top treated as V).
-func subsetOf(next, prev *ltSet) bool {
-	if prev.top {
+// subsetOf reports next ⊆ prev, with nil as top (V).
+func subsetOf(next, prev *bitvec.Set) bool {
+	if prev == nil {
 		return true
 	}
-	if next.top {
+	if next == nil {
 		return false
 	}
-	for _, e := range next.elems() {
-		if !prev.has(e) {
+	for _, e := range next.Elems() {
+		if !prev.Has(e) {
 			return false
 		}
 	}
 	return true
+}
+
+// elemsOrTop renders a solver set for failure messages.
+func elemsOrTop(s *bitvec.Set) any {
+	if s == nil {
+		return "top"
+	}
+	return s.Elems()
 }
 
 // TestLemma36Monotone instruments the solver and checks, on the whole
@@ -31,13 +40,13 @@ func subsetOf(next, prev *ltSet) bool {
 func TestLemma36Monotone(t *testing.T) {
 	updates := 0
 	violations := 0
-	solverHook = func(target int, prev, next *ltSet) {
+	solverHook = func(target int, prev, next *bitvec.Set) {
 		updates++
 		if !subsetOf(next, prev) {
 			violations++
 			if violations < 5 {
-				t.Errorf("update %d grew set %d: %v -> %v (top %v -> %v)",
-					updates, target, prev.elems(), next.elems(), prev.top, next.top)
+				t.Errorf("update %d grew set %d: %v -> %v",
+					updates, target, elemsOrTop(prev), elemsOrTop(next))
 			}
 		}
 	}

@@ -230,6 +230,6 @@ func funcKey(f *ir.Func, ranges *rangeanal.Result, opt core.Options) string {
 		})
 	}
 
-	fmt.Fprintf(h, "\x00opts:nr=%t,ns=%t,ss=%t", opt.NoRanges, opt.NonStrict, opt.SmallSets)
+	fmt.Fprintf(h, "\x00opts:nr=%t,ns=%t", opt.NoRanges, opt.NonStrict)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -42,19 +42,20 @@ func TestFuncKeyPinned(t *testing.T) {
 	got := map[string]string{
 		"default":   funcKey(f, ranges, core.Options{}),
 		"noranges":  funcKey(f, ranges, core.Options{NoRanges: true}),
-		"smallsets": funcKey(f, ranges, core.Options{SmallSets: true}),
+		"nonstrict": funcKey(f, ranges, core.Options{NonStrict: true}),
 	}
 	want := map[string]string{
-		"default":   "b60659a132bf1d5a8580e855a9c7eb58249cf76ced9f331dee17eae5399568b7",
-		"noranges":  "b59b86c51e558aec1a75ca473af3e8d13685614a9ec39b04c859fa01f7667dfd",
-		"smallsets": "e426efa5b5fca1d0cf75b87fe7393757a538ff42b582e5eeda4ea330e1b888a6",
+		"default":   "c536cccc661d35406df0fdba5d2a1eb5618509616af187515addf96d5755aa88",
+		"noranges":  "8e509c3c970dea548e9c3392a445640085c5a1fc792755eaf5fb21fe558b3205",
+		"nonstrict": "5c9da4d18b956f4fe338c478070dccd16aa7b0dba798fcc1582cb7f1da5b1633",
 	}
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s key drifted:\n  got  %s\n  want %s", name, got[name], w)
 		}
 	}
-	if got["default"] == got["noranges"] || got["default"] == got["smallsets"] {
+	if got["default"] == got["noranges"] || got["default"] == got["nonstrict"] ||
+		got["noranges"] == got["nonstrict"] {
 		t.Error("option variants must not collide")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/alias"
-	"repro/internal/core"
 	"repro/internal/corpus"
 )
 
@@ -71,7 +70,6 @@ func TestDifferentialSerialParallel(t *testing.T) {
 	}{
 		{"default", Config{}},
 		{"interproc", Config{Interprocedural: true}},
-		{"smallsets", Config{Analysis: core.Options{SmallSets: true}}},
 		{"withcf", Config{WithCF: true}},
 	}
 	for _, v := range variants {

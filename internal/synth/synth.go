@@ -1,5 +1,6 @@
 // Package synth generates synthetic mini-C modules of a requested
-// function count for the scalability benchmark harness. The goal is
+// function count for benchmarks (cmd/sraaperf's batch-synth workload)
+// and scale tests. The goal is
 // not realism per function — csmith covers adversarial shapes — but
 // realistic bulk: tens of thousands of small pointer-manipulating
 // functions wired into call chains, so whole-module solver cost is
@@ -8,9 +9,9 @@
 // per-function worklists).
 //
 // Generation is deterministic in (funcs, seed): the same arguments
-// always produce byte-identical source, which the benchmark's
-// -baseline compare mode relies on — a wall-clock diff against a
-// committed baseline is meaningless if the workload drifted.
+// always produce byte-identical source, which benchmark comparisons
+// rely on — a wall-clock diff between two builds is meaningless if the
+// workload drifted.
 package synth
 
 import (
