@@ -121,4 +121,15 @@ func TestFailUnsafe(t *testing.T) {
 	if !bytes.Contains([]byte(out), []byte("unsafe/interval")) {
 		t.Fatalf("missing unsafe diagnostic:\n%s", out)
 	}
+
+	// A function only called by itself may be called from outside
+	// with any argument: nothing is proved to trap.
+	walk := filepath.Join(t.TempDir(), "walk.c")
+	src := "int walk(int n) { int a[10]; a[n] = 1; if (n > 0) { return walk(n - 1); } return a[0]; }\nint main() { return 0; }\n"
+	if err := os.WriteFile(walk, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runSanitize(t, 0, "-fail-unsafe", walk); bytes.Contains([]byte(out), []byte("unsafe/")) {
+		t.Fatalf("self-calling function reported unsafe:\n%s", out)
+	}
 }

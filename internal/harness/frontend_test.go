@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 // The frontend must convert every malformed input into an error —
@@ -83,6 +85,50 @@ func TestParseIRMalformedInputNeverPanics(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParseIRMistypedCall: textual IR may give a call a pointer type
+// while its callee returns an integer, and ir.Verify accepts it. Both
+// range passes must analyze such a module without a contained failure
+// and report the untracked call as Top.
+func TestParseIRMistypedCall(t *testing.T) {
+	p := New(Config{})
+	m, err := p.ParseIR(`module "m"
+
+func @f(i64 %x) i64 {
+entry:
+  %y = add %x, 1
+  ret %y
+}
+
+func @main() i64 {
+entry:
+  %t1 = call i64* @f(3)
+  ret 0
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Analyze(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Report().Failures {
+		if f.Stage == StageRangesPre || f.Stage == StageRanges {
+			t.Errorf("range stage failed: %+v", f)
+		}
+	}
+	var call ir.Value
+	m.FuncByName("main").Instrs(func(in *ir.Instr) bool {
+		if in.Op == ir.OpCall {
+			call = in
+		}
+		return true
+	})
+	if iv := res.Ranges.Range(call); !iv.IsTop() {
+		t.Errorf("Range(%%t1) = %v, want Top", iv)
 	}
 }
 

@@ -7,9 +7,13 @@ import (
 	"repro/internal/ir"
 )
 
-// Result holds the computed ranges for one module or function.
+// Result holds the computed ranges for one module.
 type Result struct {
-	ranges map[ir.Value]Interval
+	// ids numbers the tracked values: the integer parameters and
+	// integer-typed instruction results of the analyzed functions.
+	// ranges[ids[v]] is v's interval.
+	ids    map[ir.Value]int32
+	ranges []Interval
 	// err records budget exhaustion during solving; the ranges are
 	// still sound (see AnalyzeCtx) but possibly all-Top.
 	err error
@@ -22,7 +26,7 @@ func (r *Result) Err() error { return r.err }
 // Empty returns a Result with no information: every value reports
 // Top. It is the sound degraded substitute when the range stage
 // fails entirely.
-func Empty() *Result { return &Result{ranges: map[ir.Value]Interval{}} }
+func Empty() *Result { return &Result{} }
 
 // Range returns the interval of v. Constants evaluate directly;
 // pointer-typed and unanalyzed values report Top.
@@ -30,8 +34,8 @@ func (r *Result) Range(v ir.Value) Interval {
 	if c, ok := v.(*ir.Const); ok {
 		return Point(c.Val)
 	}
-	if iv, ok := r.ranges[v]; ok {
-		return iv
+	if id, ok := r.ids[v]; ok {
+		return r.ranges[id]
 	}
 	return Top
 }
@@ -79,9 +83,13 @@ const shrinkCap = 8
 
 // Analyze computes ranges for every integer SSA value in m,
 // inter-procedurally: parameters union the actual arguments of all
-// call sites (functions with no in-module caller, such as entry
-// points, get Top parameters), and call results union the callee's
-// return ranges.
+// call sites, and call results union the callee's return ranges.
+// Parameters are bound to their call sites only in functions that a
+// function with no in-module caller (an entry point such as main)
+// reaches through calls. Every other function may be called from
+// outside the module with any argument, so its parameters are Top:
+// entry points themselves, and functions called only by themselves or
+// from a call cycle that nothing outside it calls.
 func Analyze(m *ir.Module) *Result {
 	return AnalyzeCtx(context.Background(), m, Opts{})
 }
@@ -98,211 +106,364 @@ type Opts struct {
 	Skip map[*ir.Func]bool
 }
 
-// AnalyzeCtx is Analyze under a context and budget. Soundness of the
-// partial result: aborting the ascending (widening) phase leaves
-// intervals smaller than the fixed point, which would be unsound, so
-// exhaustion there discards everything — the result reports Top for
-// every value. Aborting the descending (narrowing) phase keeps the
-// current environment: every narrowing step starts from a sound
-// over-approximation and intersects it with a consequence of sound
-// inputs, so each intermediate state is itself sound.
+// AnalyzeCtx is Analyze under a context and budget. The budget ticks
+// once per worklist pop and once per narrowing evaluation. Soundness
+// of the partial result: aborting the ascending (widening) phase
+// leaves intervals smaller than the fixed point, which would be
+// unsound, so exhaustion there discards everything — the result
+// reports Top for every value. Aborting the descending (narrowing)
+// phase keeps the current environment: every narrowing step starts
+// from a sound over-approximation and intersects it with a consequence
+// of sound inputs, so each intermediate state is itself sound.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Result {
-	a := newAnalysis()
+	s, ids := build(m, opt.Skip)
+	bgt := opt.Budget.Start(ctx)
+	if s.solve(bgt) {
+		return &Result{err: bgt.Err()}
+	}
+	n := len(s.nodes)
+	return &Result{ids: ids, ranges: s.env[:n:n], err: bgt.Err()}
+}
+
+// kind selects a node's transfer function over env slots a and b.
+type kind uint8
+
+const (
+	kCopy  kind = iota // env[a]
+	kAdd               // env[a] + env[b]
+	kSub               // env[a] - env[b]
+	kMul               // env[a] * env[b]
+	kDiv               // env[a] / env[b]
+	kRem               // env[a] % env[b]
+	kSigma             // env[a] ∩ refine(pred, env[b])
+	kUnion             // the union of env[ops[a:b]]
+)
+
+var binKind = [...]kind{ir.OpAdd: kAdd, ir.OpSub: kSub, ir.OpMul: kMul, ir.OpDiv: kDiv, ir.OpRem: kRem}
+
+// node is one tracked value with its operands resolved to env slots.
+type node struct {
+	kind kind
+	pred uint8 // the sigma's ir.CmpPred, oriented to its operand
+	a, b int32
+}
+
+// solver is the module's constraint system over dense state. Node i is
+// the i-th tracked value and env[i] its current interval. The slots
+// after the nodes are read-only: one per distinct fixed interval an
+// operand or result takes (a constant, a mask bound, a comparison's
+// [0, 1]), one of them Top, shared by every untracked value.
+type solver struct {
+	nodes []node
+	ops   []int32 // the operand slots of kUnion nodes
+	env   []Interval
+	// The nodes to re-evaluate when node i changes are
+	// deps[depOff[i]:depOff[i+1]], in the order they were added.
+	depOff []int32
+	deps   []int32
+}
+
+// pair is a (key, value) pair grouped by group.
+type pair struct{ key, val int32 }
+
+// group buckets pairs by key, keeping each key's values in insertion
+// order: the values of key k are vals[off[k]:off[k+1]].
+func group(n int, pairs []pair) (off, vals []int32) {
+	off = make([]int32, n+1)
+	for _, p := range pairs {
+		off[p.key+1]++
+	}
+	for k := 0; k < n; k++ {
+		off[k+1] += off[k]
+	}
+	vals = make([]int32, len(pairs))
+	for _, p := range pairs {
+		vals[off[p.key]] = p.val
+		off[p.key]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, vals
+}
+
+// fnInfo locates one analyzed function's nodes, returns and calls.
+type fnInfo struct {
+	f *ir.Func
+	// first is the node id of its first integer parameter; the
+	// parameters are first .. first+params-1, numbered from paramBase
+	// among all functions' parameters.
+	first, params, paramBase int32
+	// ops[retLo:retHi] are the slots of its return operands.
+	retLo, retHi int32
+	// sites[siteLo:siteHi] are its calls to analyzed functions.
+	siteLo, siteHi int32
+}
+
+// site is a call to a function that is not skipped; id is the call's
+// node, or -1 when its result is not tracked.
+type site struct {
+	in *ir.Instr
+	id int32
+}
+
+// builder resolves a module into a solver.
+type builder struct {
+	s     *solver
+	ids   map[ir.Value]int32
+	n     int32
+	fns   []fnInfo
+	fnIdx map[*ir.Func]int32 // index into fns
+	fixed map[Interval]int32
+	top   int32
+	// edges are the dependences as (source, dependent) pairs, in the
+	// order the schedule requires.
+	edges []pair
+}
+
+// slot resolves an operand: a node's id, a constant's read-only slot,
+// or the Top slot for anything untracked.
+func (b *builder) slot(v ir.Value) int32 {
+	if c, ok := v.(*ir.Const); ok {
+		return b.fixedSlot(Point(c.Val))
+	}
+	if id, ok := b.ids[v]; ok {
+		return id
+	}
+	return b.top
+}
+
+// fixedSlot returns the read-only slot holding iv.
+func (b *builder) fixedSlot(iv Interval) int32 {
+	if s, ok := b.fixed[iv]; ok {
+		return s
+	}
+	s := int32(len(b.s.env))
+	b.s.env = append(b.s.env, iv)
+	b.fixed[iv] = s
+	return s
+}
+
+// dep records that node to is re-evaluated when slot from changes.
+// Read-only slots never change and untracked targets are not
+// evaluated, so both are dropped.
+func (b *builder) dep(from, to int32) {
+	if from < b.n && to >= 0 {
+		b.edges = append(b.edges, pair{from, to})
+	}
+}
+
+// build numbers the tracked values of m and resolves their operands
+// and dependences. Node ids follow the module: per function in order,
+// integer parameters first, then integer results in block order; the
+// initial worklist and the narrowing sweeps run in id order. Each
+// value's dependents are its users within its function in instruction
+// order, then the parameters its call arguments feed and the calls
+// its returns feed, in call-site order. FIFO order, and with it
+// widening, depends on both orders.
+func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
+	// Count first so that every map and slice is allocated once at its
+	// final size: growing them instead allocates about 60% more on a
+	// 10k-function module.
+	var nodes, rets, calls, operands int
 	for _, f := range m.Funcs {
-		if opt.Skip[f] {
+		if skip[f] {
 			continue
 		}
-		a.addFunc(f)
-	}
-	// Inter-procedural edges.
-	callers := map[*ir.Func]int{}
-	for _, f := range m.Funcs {
-		if opt.Skip[f] {
-			continue
+		for _, p := range f.Params {
+			if ir.IsInt(p.Typ) {
+				nodes++
+			}
 		}
 		f.Instrs(func(in *ir.Instr) bool {
-			if in.Op == ir.OpCall && in.Callee != nil && !opt.Skip[in.Callee] {
-				callers[in.Callee]++
-				for i, arg := range in.Args {
-					if i < len(in.Callee.Params) {
-						a.addCallArg(arg, in.Callee.Params[i])
-					}
-				}
-				for _, ret := range a.rets[in.Callee] {
-					a.addDep(ret, in)
-				}
+			switch {
+			case in.Op == ir.OpRet:
+				rets++
+			case in.Op == ir.OpCall:
+				calls++
+				operands += len(in.Args)
+			}
+			if in.HasResult() && ir.IsInt(in.Typ) {
+				nodes++
+				operands += len(in.Args) + 1
 			}
 			return true
 		})
 	}
+
+	// Number the nodes and collect returns and call sites.
+	ids := make(map[ir.Value]int32, nodes)
+	fns := make([]fnInfo, 0, len(m.Funcs))
+	fnIdx := make(map[*ir.Func]int32, len(m.Funcs))
+	retVals := make([]ir.Value, 0, rets)
+	sites := make([]site, 0, calls)
+	var id, params int32
 	for _, f := range m.Funcs {
-		if opt.Skip[f] {
+		if skip[f] {
 			continue
 		}
-		if callers[f] == 0 {
-			// Externally callable: parameters unconstrained.
-			for _, p := range f.Params {
-				if ir.IsInt(p.Typ) {
-					a.external[p] = true
+		fi := fnInfo{f: f, first: id, paramBase: params, retLo: int32(len(retVals)), siteLo: int32(len(sites))}
+		for _, p := range f.Params {
+			if ir.IsInt(p.Typ) {
+				ids[p] = id
+				id++
+			}
+		}
+		fi.params = id - fi.first
+		params += fi.params
+		f.Instrs(func(in *ir.Instr) bool {
+			if in.Op == ir.OpRet && len(in.Args) == 1 {
+				retVals = append(retVals, in.Args[0])
+			}
+			nid := int32(-1)
+			if in.HasResult() && ir.IsInt(in.Typ) {
+				nid = id
+				ids[in] = id
+				id++
+			}
+			if in.Op == ir.OpCall && in.Callee != nil && !skip[in.Callee] {
+				sites = append(sites, site{in, nid})
+			}
+			return true
+		})
+		fi.retHi = int32(len(retVals))
+		fi.siteHi = int32(len(sites))
+		fnIdx[f] = int32(len(fns))
+		fns = append(fns, fi)
+	}
+
+	s := &solver{nodes: make([]node, id), ops: make([]int32, 0, len(retVals)+operands)}
+	s.env = make([]Interval, id, int(id)+64)
+	for i := range s.env {
+		s.env[i] = Bottom
+	}
+	b := &builder{s: s, ids: ids, n: id, fns: fns, fnIdx: fnIdx, fixed: map[Interval]int32{}, edges: make([]pair, 0, operands)}
+	b.top = b.fixedSlot(Top)
+	for _, v := range retVals {
+		s.ops = append(s.ops, b.slot(v))
+	}
+
+	// Resolve every instruction node; its operands are its
+	// dependences.
+	for i := range fns {
+		id := fns[i].first + fns[i].params
+		fns[i].f.Instrs(func(in *ir.Instr) bool {
+			if in.HasResult() && ir.IsInt(in.Typ) {
+				s.nodes[id] = b.instr(in, id)
+				id++
+			}
+			return true
+		})
+	}
+
+	// Bind call arguments to parameters and returns to call results.
+	callers := make([]int32, len(fns))
+	callees := make([]int32, 0, len(sites))
+	calleeOff := make([]int32, len(fns)+1)
+	var args []pair // (parameter index, argument slot)
+	for i := range fns {
+		for _, st := range sites[fns[i].siteLo:fns[i].siteHi] {
+			ci, ok := fnIdx[st.in.Callee]
+			if !ok {
+				continue // outside the module: no parameters, no returns
+			}
+			callers[ci]++
+			callees = append(callees, ci)
+			c := &fns[ci]
+			p := int32(0)
+			for j, arg := range st.in.Args {
+				if j >= len(c.f.Params) {
+					break
 				}
+				if !ir.IsInt(c.f.Params[j].Typ) {
+					continue
+				}
+				a := b.slot(arg)
+				args = append(args, pair{c.paramBase + p, a})
+				b.dep(a, c.first+p)
+				p++
+			}
+			for _, r := range s.ops[c.retLo:c.retHi] {
+				b.dep(r, st.id)
+			}
+		}
+		calleeOff[i+1] = int32(len(callees))
+	}
+	reached := reachedFromEntries(callers, callees, calleeOff)
+	argOff, argSlots := group(int(params), args)
+	base := int32(len(s.ops))
+	s.ops = append(s.ops, argSlots...)
+	for i, fi := range fns {
+		for k := int32(0); k < fi.params; k++ {
+			nd := node{kind: kCopy, a: b.top}
+			if reached[i] {
+				q := fi.paramBase + k
+				nd = node{kind: kUnion, a: base + argOff[q], b: base + argOff[q+1]}
+			}
+			s.nodes[fi.first+k] = nd
+		}
+	}
+	s.depOff, s.deps = group(int(id), b.edges)
+	return s, ids
+}
+
+// reachedFromEntries implements the entry rule. Functions without an
+// in-module caller may be called from outside with any argument, and
+// so may every function they do not reach through calls: only the
+// functions it marks bind their parameters to their call sites.
+// Function f, with callers[f] in-module call sites, calls
+// callees[off[f]:off[f+1]].
+func reachedFromEntries(callers, callees, off []int32) []bool {
+	reached := make([]bool, len(callers))
+	var stack []int32
+	for f, n := range callers {
+		if n == 0 {
+			stack = append(stack, int32(f))
+		}
+	}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range callees[off[f]:off[f+1]] {
+			if !reached[c] {
+				reached[c] = true
+				stack = append(stack, c)
 			}
 		}
 	}
-	bgt := opt.Budget.Start(ctx)
-	ascendAborted := a.solve(bgt)
-	res := &Result{ranges: a.env, err: bgt.Err()}
-	if ascendAborted {
-		res.ranges = map[ir.Value]Interval{}
-	}
-	return res
+	return reached
 }
 
-// AnalyzeFunc computes ranges for a single function with Top
-// parameters (intra-procedural mode, used by tests and ablations).
-func AnalyzeFunc(f *ir.Func) *Result {
-	a := newAnalysis()
-	a.addFunc(f)
-	for _, p := range f.Params {
-		if ir.IsInt(p.Typ) {
-			a.external[p] = true
-		}
+// instr resolves the integer instruction in, node id, recording its
+// dependences on its operands (and a sigma's on its bound).
+func (b *builder) instr(in *ir.Instr, id int32) node {
+	s := b.s
+	lo := int32(len(s.ops))
+	for _, arg := range in.Args {
+		a := b.slot(arg)
+		s.ops = append(s.ops, a)
+		b.dep(a, id)
 	}
-	a.solve(nil)
-	return &Result{ranges: a.env}
-}
-
-type analysis struct {
-	env  map[ir.Value]Interval
-	deps map[ir.Value][]ir.Value // value -> nodes to re-evaluate on change
-	// callArgs[param] lists the actual arguments feeding it.
-	callArgs map[*ir.Param][]ir.Value
-	// rets[f] lists the values returned by f.
-	rets map[*ir.Func][]ir.Value
-	// external marks parameters with no analyzable call sites.
-	external  map[ir.Value]bool
-	nodes     []ir.Value
-	widenCnt  map[ir.Value]int
-	shrinkCnt map[ir.Value]int
-}
-
-func newAnalysis() *analysis {
-	return &analysis{
-		env:       map[ir.Value]Interval{},
-		deps:      map[ir.Value][]ir.Value{},
-		callArgs:  map[*ir.Param][]ir.Value{},
-		rets:      map[*ir.Func][]ir.Value{},
-		external:  map[ir.Value]bool{},
-		widenCnt:  map[ir.Value]int{},
-		shrinkCnt: map[ir.Value]int{},
-	}
-}
-
-func (a *analysis) addDep(from, to ir.Value) {
-	if _, isConst := from.(*ir.Const); isConst {
-		return
-	}
-	a.deps[from] = append(a.deps[from], to)
-}
-
-func (a *analysis) addCallArg(arg ir.Value, p *ir.Param) {
-	if !ir.IsInt(p.Typ) {
-		return
-	}
-	a.callArgs[p] = append(a.callArgs[p], arg)
-	a.addDep(arg, p)
-}
-
-func (a *analysis) addFunc(f *ir.Func) {
-	for _, p := range f.Params {
-		if ir.IsInt(p.Typ) {
-			a.nodes = append(a.nodes, p)
-			a.env[p] = Bottom
-		}
-	}
-	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpRet && len(in.Args) == 1 {
-			a.rets[f] = append(a.rets[f], in.Args[0])
-		}
-		if !in.HasResult() || !ir.IsInt(in.Typ) {
-			return true
-		}
-		a.nodes = append(a.nodes, in)
-		a.env[in] = Bottom
-		for _, arg := range in.Args {
-			a.addDep(arg, in)
-		}
-		if in.Op == ir.OpSigma {
-			// The sigma's refinement also depends on the other
-			// compare operand.
-			other := in.Cmp.Args[1-in.CmpSide]
-			a.addDep(other, in)
-		}
-		return true
-	})
-}
-
-func (a *analysis) get(v ir.Value) Interval {
-	if c, ok := v.(*ir.Const); ok {
-		return Point(c.Val)
-	}
-	if iv, ok := a.env[v]; ok {
-		return iv
-	}
-	return Top // pointers, undef, globals: unconstrained
-}
-
-// eval computes the abstract value of a node from the current
-// environment.
-func (a *analysis) eval(v ir.Value) Interval {
-	switch n := v.(type) {
-	case *ir.Param:
-		if a.external[n] {
-			return Top
-		}
-		out := Bottom
-		for _, arg := range a.callArgs[n] {
-			out = Union(out, a.get(arg))
-		}
-		return out
-	case *ir.Instr:
-		return a.evalInstr(n)
-	}
-	return Top
-}
-
-func (a *analysis) evalInstr(in *ir.Instr) Interval {
-	arg := func(i int) Interval { return a.get(in.Args[i]) }
+	args := s.ops[lo:]
+	nd := node{kind: kCopy, a: b.top}
 	switch in.Op {
-	case ir.OpAdd:
-		return Add(arg(0), arg(1))
-	case ir.OpSub:
-		return Sub(arg(0), arg(1))
-	case ir.OpMul:
-		return Mul(arg(0), arg(1))
-	case ir.OpDiv:
-		return Div(arg(0), arg(1))
-	case ir.OpRem:
-		return Rem(arg(0), arg(1))
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem:
+		nd = node{kind: binKind[in.Op], a: args[0], b: args[1]}
 	case ir.OpAnd:
 		// x & m with a non-negative constant mask is within [0, m].
 		if c, ok := in.Args[1].(*ir.Const); ok && c.Val >= 0 {
-			return Interval{0, c.Val}
+			nd.a = b.fixedSlot(Interval{0, c.Val})
+		} else if c, ok := in.Args[0].(*ir.Const); ok && c.Val >= 0 {
+			nd.a = b.fixedSlot(Interval{0, c.Val})
 		}
-		if c, ok := in.Args[0].(*ir.Const); ok && c.Val >= 0 {
-			return Interval{0, c.Val}
-		}
-		return Top
 	case ir.OpICmp:
-		return Interval{0, 1}
+		nd.a = b.fixedSlot(Interval{0, 1})
 	case ir.OpPhi:
-		out := Bottom
-		for _, v := range in.Args {
-			out = Union(out, a.get(v))
-		}
-		return out
+		return node{kind: kUnion, a: lo, b: int32(len(s.ops))}
 	case ir.OpSigma:
-		src := a.get(in.Args[0])
-		bound := a.get(in.Cmp.Args[1-in.CmpSide])
+		// The sigma's refinement also depends on the other compare
+		// operand.
+		bound := b.slot(in.Cmp.Args[1-in.CmpSide])
+		b.dep(bound, id)
 		pred := in.Cmp.Pred
 		if in.CmpSide == 1 {
 			pred = pred.Swap()
@@ -310,24 +471,49 @@ func (a *analysis) evalInstr(in *ir.Instr) Interval {
 		if !in.OnTrue {
 			pred = pred.Negate()
 		}
-		return Intersect(src, refine(pred, bound))
+		nd = node{kind: kSigma, pred: uint8(pred), a: args[0], b: bound}
 	case ir.OpCopy:
-		return a.get(in.Args[0])
+		nd.a = args[0]
 	case ir.OpCall:
-		if in.Callee == nil {
-			return Top
+		// The union of the callee's returns; Top for external code
+		// and for callees that never return a value.
+		if ci, ok := b.fnIdx[in.Callee]; ok {
+			if c := b.fns[ci]; c.retHi > c.retLo {
+				nd = node{kind: kUnion, a: c.retLo, b: c.retHi}
+			}
 		}
+	}
+	// Loads, shifts, xor/or and other results escaping the analysis
+	// stay Top. Only union nodes keep their operands in ops.
+	s.ops = s.ops[:lo]
+	return nd
+}
+
+// eval computes node i's abstract value from the current environment.
+func (s *solver) eval(i int32) Interval {
+	nd := &s.nodes[i]
+	env := s.env
+	switch nd.kind {
+	case kAdd:
+		return Add(env[nd.a], env[nd.b])
+	case kSub:
+		return Sub(env[nd.a], env[nd.b])
+	case kMul:
+		return Mul(env[nd.a], env[nd.b])
+	case kDiv:
+		return Div(env[nd.a], env[nd.b])
+	case kRem:
+		return Rem(env[nd.a], env[nd.b])
+	case kSigma:
+		return Intersect(env[nd.a], refine(ir.CmpPred(nd.pred), env[nd.b]))
+	case kUnion:
 		out := Bottom
-		for _, ret := range a.rets[in.Callee] {
-			out = Union(out, a.get(ret))
-		}
-		if len(a.rets[in.Callee]) == 0 {
-			return Top
+		for _, o := range s.ops[nd.a:nd.b] {
+			out = Union(out, env[o])
 		}
 		return out
 	}
-	// Loads, shifts, xor/or, malloc sizes escaping analysis: Top.
-	return Top
+	return env[nd.a]
 }
 
 // refine returns the interval a value must lie in when it stands in
@@ -367,29 +553,41 @@ func refine(pred ir.CmpPred, bound Interval) Interval {
 // expired mid-ascent, in which case the environment holds an unsound
 // under-approximation that the caller must discard. Exhaustion during
 // narrowing is not an abort: the caller keeps the (sound) env as-is.
-func (a *analysis) solve(bgt *budget.B) (aborted bool) {
-	// Ascending phase with widening.
-	work := append([]ir.Value(nil), a.nodes...)
-	inWork := make(map[ir.Value]bool, len(work))
-	for _, n := range work {
-		inWork[n] = true
+func (s *solver) solve(bgt *budget.B) (aborted bool) {
+	n := int32(len(s.nodes))
+	env := s.env
+	// Ascending phase with widening: a FIFO ring over the nodes, each
+	// queued at most once, initially all of them in id order.
+	queue := make([]int32, n)
+	inWork := make([]bool, n)
+	for i := range queue {
+		queue[i] = int32(i)
+		inWork[i] = true
 	}
-	for len(work) > 0 {
+	widenCnt := make([]uint8, n)
+	shrinkCnt := make([]uint8, n)
+	head, size := int32(0), n
+	for size > 0 {
 		if bgt.Tick() != nil {
 			return true
 		}
-		n := work[0]
-		work = work[1:]
-		inWork[n] = false
-		next := a.eval(n)
-		cur := a.env[n]
+		i := queue[head]
+		if head++; head == n {
+			head = 0
+		}
+		size--
+		inWork[i] = false
+		next := s.eval(i)
+		cur := env[i]
 		if next.Eq(cur) {
 			continue
 		}
-		grew := Union(cur, next)
-		if !grew.Eq(cur) {
-			a.widenCnt[n]++
-			if a.widenCnt[n] > widenThreshold {
+		if grew := Union(cur, next); !grew.Eq(cur) {
+			// The count saturates past the threshold.
+			if widenCnt[i] <= widenThreshold {
+				widenCnt[i]++
+			}
+			if widenCnt[i] > widenThreshold {
 				next = Widen(cur, next)
 			} else {
 				next = grew
@@ -398,19 +596,24 @@ func (a *analysis) solve(bgt *budget.B) (aborted bool) {
 			// next ⊆ cur: widening overshot. Accept the correction a
 			// bounded number of times, then hold the over-approximation
 			// so oscillating cycles cannot stall the ascent.
-			if a.shrinkCnt[n] >= shrinkCap {
+			if shrinkCnt[i] >= shrinkCap {
 				continue
 			}
-			a.shrinkCnt[n]++
+			shrinkCnt[i]++
 		}
 		if next.Eq(cur) {
 			continue
 		}
-		a.env[n] = next
-		for _, d := range a.deps[n] {
+		env[i] = next
+		for _, d := range s.deps[s.depOff[i]:s.depOff[i+1]] {
 			if !inWork[d] {
 				inWork[d] = true
-				work = append(work, d)
+				tail := head + size
+				if tail >= n {
+					tail -= n
+				}
+				queue[tail] = d
+				size++
 			}
 		}
 	}
@@ -419,15 +622,13 @@ func (a *analysis) solve(bgt *budget.B) (aborted bool) {
 	// limits without endangering termination.
 	for pass := 0; pass < narrowPasses; pass++ {
 		changed := false
-		for _, n := range a.nodes {
+		for i := int32(0); i < n; i++ {
 			if bgt.Tick() != nil {
 				return false
 			}
-			next := a.eval(n)
-			cur := a.env[n]
-			refined := Intersect(cur, next)
-			if !refined.Eq(cur) {
-				a.env[n] = refined
+			cur := env[i]
+			if refined := Intersect(cur, s.eval(i)); !refined.Eq(cur) {
+				env[i] = refined
 				changed = true
 			}
 		}

@@ -8,10 +8,13 @@
 //
 // The analysis is inter-procedural and context-insensitive: formal
 // parameters behave like pseudo-phis over the actual arguments of
-// every call site, exactly as described in Section 4 of the paper, and
-// call results union the callee's return ranges. Loops are handled
-// with widening to a fixed point followed by a bounded narrowing phase
-// that exploits the branch constraints carried by e-SSA sigma nodes.
+// every call site, exactly as described in Section 4 of the paper, in
+// every function an entry point reaches through calls (the others may
+// be called from outside the module, so their parameters are
+// unconstrained), and call results union the callee's return ranges.
+// Loops are handled with widening to a fixed point followed by a
+// bounded narrowing phase that exploits the branch constraints carried
+// by e-SSA sigma nodes.
 package rangeanal
 
 import (

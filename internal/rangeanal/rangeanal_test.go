@@ -1,6 +1,7 @@
 package rangeanal
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -225,8 +226,15 @@ int f() {
 	}
 }
 
-// rangesOf exposes the result map for white-box assertions.
-func rangesOf(r *Result) map[ir.Value]Interval { return r.ranges }
+// rangesOf exposes the tracked values' intervals for white-box
+// assertions.
+func rangesOf(r *Result) map[ir.Value]Interval {
+	out := make(map[ir.Value]Interval, len(r.ids))
+	for v, id := range r.ids {
+		out[v] = r.ranges[id]
+	}
+	return out
+}
 
 func TestRangeSigmaRefinement(t *testing.T) {
 	m, r := analyzeSrc(t, `
@@ -291,6 +299,63 @@ func TestRangeEntryParamsTop(t *testing.T) {
 	}
 }
 
+// walkSrc is a function that only calls itself; main does not call it,
+// so it is an entry point reachable from outside the module.
+const walkSrc = `
+int walk(int n) {
+  int a[10];
+  a[n] = 1;
+  if (n > 0) {
+    return walk(n - 1);
+  }
+  return a[0];
+}
+int main() { return 0; }
+`
+
+func TestEntrySelfCallParamsTop(t *testing.T) {
+	m, r := analyzeSrc(t, walkSrc)
+	walk := m.FuncByName("walk")
+	if iv := r.Range(walk.Params[0]); !iv.IsTop() {
+		t.Errorf("self-only function's param = %v, want Top", iv)
+	}
+	// Nothing derived from the parameter may be empty.
+	walk.Instrs(func(in *ir.Instr) bool {
+		if in.HasResult() && ir.IsInt(in.Typ) && r.Range(in).IsEmpty() {
+			t.Errorf("%s = [], want a sound interval", in)
+		}
+		return true
+	})
+
+	// Called from main, the parameter is bound to the call sites.
+	m, r = analyzeSrc(t, strings.Replace(walkSrc, "return 0;", "return walk(5);", 1))
+	if iv := r.Range(m.FuncByName("walk").Params[0]); iv.IsTop() || iv.IsEmpty() || iv.Hi != 5 {
+		t.Errorf("param of walk called with 5 = %v, want hi 5", iv)
+	}
+}
+
+func TestEntryCycleParamsTop(t *testing.T) {
+	const cycle = `
+int ping(int x) { if (x > 0) { return pong(x - 1); } return 0; }
+int pong(int y) { if (y > 0) { return ping(y - 1); } return 1; }
+`
+	m, r := analyzeSrc(t, cycle)
+	for _, name := range []string{"ping", "pong"} {
+		if iv := r.Range(m.FuncByName(name).Params[0]); !iv.IsTop() {
+			t.Errorf("%s param in an uncalled 2-cycle = %v, want Top", name, iv)
+		}
+	}
+
+	// Entered from main, the cycle's parameters are bounded.
+	m, r = analyzeSrc(t, cycle+"int main() { return ping(3); }\n")
+	want := map[string]Interval{"ping": {0, 3}, "pong": {0, 2}}
+	for _, name := range []string{"ping", "pong"} {
+		if iv := r.Range(m.FuncByName(name).Params[0]); iv != want[name] {
+			t.Errorf("%s param in a 2-cycle entered with 3 = %v, want %v", name, iv, want[name])
+		}
+	}
+}
+
 func TestRangeRecursion(t *testing.T) {
 	// Recursion must terminate via widening and stay sound.
 	_, r := analyzeSrc(t, `
@@ -339,7 +404,7 @@ int f(int n) {
 }
 
 func TestRangeConstsDirect(t *testing.T) {
-	r := &Result{ranges: map[ir.Value]Interval{}}
+	r := Empty()
 	if got := r.Range(ir.ConstInt(-7)); !got.Eq(Point(-7)) {
 		t.Errorf("const range = %v", got)
 	}

@@ -7,6 +7,7 @@
 package sanitize_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -112,6 +113,32 @@ int bad(int x) {
 	res, rep := analyze(t, src, false)
 	in := findOp(t, res.Module, "bad", ir.OpStore)
 	wantDiag(t, rep, in, sanitize.KindBounds, sanitize.Unsafe, sanitize.LayerInterval)
+}
+
+// K1c: a function that only calls itself may be called from outside
+// the module with any argument, so its parameter is unconstrained and
+// the store is not proved to trap. With main calling walk(5) the
+// parameter is bounded and the interval layer proves the store safe.
+func TestKernelSelfCallNotUnsafe(t *testing.T) {
+	const walk = `
+int walk(int n) {
+  int a[10];
+  a[n] = 1;
+  if (n > 0) {
+    return walk(n - 1);
+  }
+  return a[0];
+}
+int main() { return 0; }
+`
+	res, rep := analyze(t, walk, false)
+	in := findOp(t, res.Module, "walk", ir.OpStore)
+	if d, ok := rep.Find(in, sanitize.KindBounds); !ok || d.Verdict == sanitize.Unsafe {
+		t.Errorf("bounds on %s = %+v, want not unsafe", in, d)
+	}
+	res, rep = analyze(t, strings.Replace(walk, "return 0;", "return walk(5);", 1), false)
+	in = findOp(t, res.Module, "walk", ir.OpStore)
+	wantDiag(t, rep, in, sanitize.KindBounds, sanitize.Safe, sanitize.LayerInterval)
 }
 
 // K2: the bound on the index flows through a strict comparison with
