@@ -177,7 +177,8 @@ func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
 // Cooper, Harvey and Kennedy. The result is indexed by block Index.
 func DominanceFrontier(f *ir.Func, t *DomTree) [][]*ir.Block {
 	df := make([][]*ir.Block, len(f.Blocks))
-	inDF := make(map[[2]int]bool)
+	// last[r] is 1 + the index of the last block added to df[r].
+	last := make([]int, len(f.Blocks))
 	for _, b := range f.Blocks {
 		if !t.Reachable(b) || len(b.Preds) < 2 {
 			continue
@@ -188,9 +189,8 @@ func DominanceFrontier(f *ir.Func, t *DomTree) [][]*ir.Block {
 			}
 			runner := p
 			for runner != nil && runner != t.IDom(b) {
-				key := [2]int{runner.Index, b.Index}
-				if !inDF[key] {
-					inDF[key] = true
+				if last[runner.Index] != b.Index+1 {
+					last[runner.Index] = b.Index + 1
 					df[runner.Index] = append(df[runner.Index], b)
 				}
 				runner = t.IDom(runner)

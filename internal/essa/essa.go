@@ -91,7 +91,7 @@ func InsertSigmas(f *ir.Func) int {
 					CmpSide: side,
 				}
 				sig.SetName(f.FreshName(x.Name() + ".s"))
-				arm.blk.Insert(len(arm.blk.Phis())+countSigmas(arm.blk), sig)
+				arm.blk.Insert(arm.blk.NumPhis()+countSigmas(arm.blk), sig)
 				roots[sig] = x
 				count++
 			}
@@ -132,24 +132,35 @@ func SplitSubtractions(f *ir.Func, oracle RangeOracle) int {
 	roots := make(map[*ir.Instr]ir.Value)
 	count := 0
 	for _, b := range f.Blocks {
-		// Walk by index; insertion shifts the slice.
-		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
+		// The block is rebuilt in one pass once it gets its first copy;
+		// inserting each copy in place would shift the rest of the
+		// block every time.
+		var out []*ir.Instr
+		for i, in := range b.Instrs {
 			x := reducedOperand(in, oracle)
 			if x == nil || !splittable(x) {
+				if out != nil {
+					out = append(out, in)
+				}
 				continue
+			}
+			if out == nil {
+				out = append(make([]*ir.Instr, 0, len(b.Instrs)+1), b.Instrs[:i]...)
 			}
 			cp := &ir.Instr{
 				Op:      ir.OpCopy,
 				Typ:     x.Type(),
 				Args:    []ir.Value{x},
 				SubUser: in,
+				Blk:     b,
 			}
 			cp.SetName(f.FreshName(x.Name() + ".c"))
-			b.Insert(i+1, cp)
+			out = append(out, in, cp)
 			roots[cp] = x
 			count++
-			i++ // skip the copy we just inserted
+		}
+		if out != nil {
+			b.Instrs = out
 		}
 	}
 	if count > 0 {

@@ -1,10 +1,24 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
+	"repro/internal/csmith"
+	"repro/internal/essa"
 	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/rangeanal"
+	"repro/internal/synth"
 )
 
 // The frontend must convert every malformed input into an error —
@@ -55,6 +69,23 @@ func TestCompileMalformedInputNeverPanics(t *testing.T) {
 				t.Fatalf("error carries no diagnostic context: %v", err)
 			}
 		})
+	}
+}
+
+// TestCompileDeepNestingIsAnError: 1 MiB of nesting is a contained
+// parse failure. The parser recurses once per level, and a Go stack
+// overflow would kill the process rather than panic.
+func TestCompileDeepNestingIsAnError(t *testing.T) {
+	const mib = 1 << 20
+	for name, src := range map[string]string{
+		"parens": "int main(void){return " + strings.Repeat("(", mib) + "0;}",
+		"braces": "int main(void){" + strings.Repeat("{", mib),
+		"minus":  "int main(void){return " + strings.Repeat("- ", mib/2) + "0;}",
+	} {
+		_, err := New(Config{}).Compile(name, src)
+		if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("%s: err = %v, want a nesting parse error", name, err)
+		}
 	}
 }
 
@@ -146,6 +177,249 @@ func TestFrontendFaultsBecomeErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), stage) ||
 				!strings.Contains(err.Error(), "injected fault") {
 				t.Fatalf("error does not describe the contained panic: %v", err)
+			}
+		})
+	}
+}
+
+// frontendInput is one source the pinned frontend test compiles.
+type frontendInput struct{ name, src string }
+
+// frontendGroups returns the pinned test's inputs by group, in a fixed
+// order. The short set (-short or -race) is a smaller selection of the
+// same generators, not a prefix of the full one.
+func frontendGroups(short bool) (groups []string, inputs map[string][]frontendInput) {
+	progs := append(corpus.Spec(), corpus.TestSuite(100)...)
+	synthFuncs, seeds, mutants := 2000, int64(300), 20000
+	if short {
+		progs = append(corpus.Spec()[:8], corpus.TestSuite(8)...)
+		synthFuncs, seeds, mutants = 300, 40, 1000
+	}
+	inputs = map[string][]frontendInput{}
+	for _, p := range progs {
+		inputs["corpus"] = append(inputs["corpus"], frontendInput{p.Name, p.Source})
+	}
+	for _, s := range []int64{1, 2} {
+		inputs["synth"] = append(inputs["synth"], frontendInput{
+			fmt.Sprintf("synth-%d-%d", synthFuncs, s), synth.Module(synthFuncs, s)})
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		inputs["csmith"] = append(inputs["csmith"], frontendInput{
+			fmt.Sprintf("csmith-%d", seed),
+			csmith.Generate(csmith.Config{Seed: seed, MaxPtrDepth: 2 + int(seed%4)})})
+	}
+	pool := append(slices.Clone(inputs["corpus"]), inputs["csmith"]...)
+	for i := 0; i < mutants; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		base := pool[rng.Intn(len(pool))]
+		inputs["mutant"] = append(inputs["mutant"], frontendInput{
+			fmt.Sprintf("mutant-%d-%s", i, base.name), mutate(rng, base.src)})
+	}
+	return []string{"corpus", "synth", "csmith", "mutant"}, inputs
+}
+
+// mutate applies one to three random edits to src: delete, duplicate
+// or copy elsewhere a short span, insert a byte the lexer rejects or
+// accepts only as a Latin-1 letter, or open a comment.
+func mutate(rng *rand.Rand, src string) string {
+	b := []byte(src)
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		pos := rng.Intn(len(b) + 1)
+		end := min(len(b), pos+1+rng.Intn(16))
+		switch rng.Intn(5) {
+		case 0:
+			b = slices.Delete(b, pos, end)
+		case 1:
+			b = slices.Insert(b, end, slices.Clone(b[pos:end])...)
+		case 2:
+			at := rng.Intn(len(b) + 1)
+			b = slices.Insert(b, at, slices.Clone(b[pos:end])...)
+		case 3:
+			b = slices.Insert(b, pos, "$`\x80\xe9"[rng.Intn(4)])
+		case 4:
+			b = slices.Insert(b, pos, []byte([]string{"/*", "//", "*/"}[rng.Intn(3)])...)
+		}
+	}
+	return string(b)
+}
+
+// hashFrontend feeds every observable of the frontend on src into h:
+// the printed AST or the parse error, every AST field (lines
+// included), the LowerProgram IR or its error, the Compile IR or its
+// error, and the IR after sigma insertion, the pre-range pass and
+// subtraction splitting.
+func hashFrontend(h io.Writer, name, src string) {
+	prog, err := minic.ParseProgram(src)
+	if err != nil {
+		fmt.Fprintf(h, "parse: %v\n", err)
+		return
+	}
+	io.WriteString(h, minic.PrintProgram(prog))
+	dumpAST(h, reflect.ValueOf(prog))
+	if m, err := minic.LowerProgram(name, prog); err != nil {
+		fmt.Fprintf(h, "lower: %v\n", err)
+	} else {
+		io.WriteString(h, m.String())
+	}
+	m, err := minic.Compile(name, src)
+	if err != nil {
+		fmt.Fprintf(h, "compile: %v\n", err)
+		return
+	}
+	io.WriteString(h, m.String())
+	for _, f := range m.Funcs {
+		essa.InsertSigmas(f)
+	}
+	pre := rangeanal.Analyze(m)
+	for _, f := range m.Funcs {
+		essa.SplitSubtractions(f, pre)
+	}
+	io.WriteString(h, m.String())
+}
+
+// dumpAST writes every field of an AST value, recursively.
+func dumpAST(w io.Writer, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			io.WriteString(w, "nil")
+			return
+		}
+		dumpAST(w, v.Elem())
+	case reflect.Struct:
+		fmt.Fprintf(w, "%s{", v.Type().Name())
+		for i := 0; i < v.NumField(); i++ {
+			fmt.Fprintf(w, "%s:", v.Type().Field(i).Name)
+			dumpAST(w, v.Field(i))
+			io.WriteString(w, " ")
+		}
+		io.WriteString(w, "}")
+	case reflect.Slice:
+		io.WriteString(w, "[")
+		for i := 0; i < v.Len(); i++ {
+			dumpAST(w, v.Index(i))
+			io.WriteString(w, " ")
+		}
+		io.WriteString(w, "]")
+	default:
+		fmt.Fprintf(w, "%v", v.Interface())
+	}
+}
+
+// Digests of hashFrontend over each input group, chained in order,
+// recorded before the frontend was rewritten for linear time.
+var (
+	pinnedFrontend = map[string]string{
+		"corpus": "82c0097e46fa2d3eb3e7b961fa106d64e280313bb41d0c1a95a2dd84d7b4459d",
+		"synth":  "b8146450c81415b8153f3b5d5fb05b34982700a5022c1cdb45848009ec06fd09",
+		"csmith": "3eb7e4a62c6120787fc22a2e3e5eea3a827ebeed4b215f51e8fe23881fa22a6e",
+		"mutant": "ec760a8e635a4b5f9f8430e773358e138636020b1f279e6e03e08ab6a0bfea47",
+	}
+	pinnedFrontendShort = map[string]string{
+		"corpus": "bbb9141029d2bce5a6c1e20eab24179fae3061e1a93cdfe909a4b2950e8361d6",
+		"synth":  "4b16c160683b7f106661f39ea7a6ffc6737b4d303aa4a31b7e6edd696df12539",
+		"csmith": "9cba06572b71133cb1470dd70d8495c31754fae2b63afd7d1045a5f20429ebae",
+		"mutant": "c68cf86ae57e4b368ed5e49717e5976e084f452a2750a710e322f92f73423c99",
+	}
+)
+
+// TestFrontendPinned: the lexer, parser, lowering, mem2reg and the
+// e-SSA passes produce exactly the output they produced before the
+// frontend was rewritten for linear time — the same ASTs with the
+// same lines, the same errors, the same value names, block labels,
+// instruction order and phi operand order.
+func TestFrontendPinned(t *testing.T) {
+	short := testing.Short() || raceEnabled
+	want := pinnedFrontend
+	if short {
+		want = pinnedFrontendShort
+	}
+	groups, inputs := frontendGroups(short)
+	for _, g := range groups {
+		g := g
+		t.Run(g, func(t *testing.T) {
+			t.Parallel()
+			chain := sha256.New()
+			for _, in := range inputs[g] {
+				io.WriteString(chain, in.name+"\x00")
+				chain.Write(sum(func(h hash.Hash) { hashFrontend(h, in.name, in.src) }))
+			}
+			if got := hex.EncodeToString(chain.Sum(nil)); got != want[g] {
+				t.Errorf("%d %s inputs hash to %s, pinned %s", len(inputs[g]), g, got, want[g])
+			}
+		})
+	}
+}
+
+func sum(write func(h hash.Hash)) []byte {
+	h := sha256.New()
+	write(h)
+	return h.Sum(nil)
+}
+
+// Adversarial sources for the frontend: n sequential ifs, n locals,
+// and one n-term subtraction chain. Each stresses a stage that used
+// to be quadratic in the size of one function.
+func manyIfs(n int) string {
+	var sb strings.Builder
+	sb.WriteString("int main(void) {\n  int x = 0;\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  if (x < %d) x = x + 1;\n", i)
+	}
+	sb.WriteString("  return x;\n}\n")
+	return sb.String()
+}
+
+func manyLocals(n int) string {
+	var sb strings.Builder
+	sb.WriteString("int main(void) {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  int v%d = %d;\n", i, i)
+	}
+	sb.WriteString("  return v0;\n}\n")
+	return sb.String()
+}
+
+func subChain(n int) string {
+	return "int main(void) {\n  int x = 1;\n  return x" + strings.Repeat("-x", n-1) + ";\n}\n"
+}
+
+// BenchmarkCompile times the hardened frontend (parse, lower, mem2reg)
+// per input; the subtraction chain also runs Analyze, where splitting
+// it used to be quadratic in the block's length.
+func BenchmarkCompile(b *testing.B) {
+	var progs []frontendInput
+	for _, p := range append(corpus.Spec(), corpus.TestSuite(100)...) {
+		progs = append(progs, frontendInput{p.Name, p.Source})
+	}
+	cases := []struct {
+		name    string
+		inputs  []frontendInput
+		analyze bool
+	}{
+		{"corpus", progs, false},
+		{"synth-2000", []frontendInput{{"synth", synth.Module(2000, 1)}}, false},
+		{"ifs-20k", []frontendInput{{"ifs", manyIfs(20000)}}, false},
+		{"locals-20k", []frontendInput{{"locals", manyLocals(20000)}}, false},
+		{"subchain-20k", []frontendInput{{"chain", subChain(20000)}}, true},
+	}
+	for _, c := range cases {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, in := range c.inputs {
+					p := New(Config{})
+					m, err := p.Compile(in.name, in.src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if c.analyze {
+						if _, err := p.Analyze(m); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -126,7 +126,7 @@ func (bld *Builder) Phi(t Type) *Instr {
 	} else {
 		in.name = bld.fn.FreshName("t")
 	}
-	bld.blk.Insert(len(bld.blk.Phis()), in)
+	bld.blk.Insert(bld.blk.NumPhis(), in)
 	return in
 }
 

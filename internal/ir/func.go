@@ -1,6 +1,6 @@
 package ir
 
-import "fmt"
+import "strconv"
 
 // Block is a basic block: a straight-line sequence of instructions
 // ending in exactly one terminator.
@@ -24,7 +24,12 @@ type Block struct {
 func (b *Block) Name() string { return b.name }
 
 // SetName relabels the block.
-func (b *Block) SetName(n string) { b.name = n }
+func (b *Block) SetName(n string) {
+	b.name = n
+	if b.Fn != nil {
+		b.Fn.labels = nil // NewBlock reindexes
+	}
+}
 
 // Term returns the block's terminator, or nil if the block is still
 // under construction.
@@ -50,14 +55,22 @@ func (b *Block) Succs() []*Block {
 
 // Phis returns the phi instructions at the head of the block.
 func (b *Block) Phis() []*Instr {
-	var phis []*Instr
-	for _, in := range b.Instrs {
-		if in.Op != OpPhi {
-			break
-		}
-		phis = append(phis, in)
+	n := b.NumPhis()
+	if n == 0 {
+		return nil
 	}
-	return phis
+	return append([]*Instr(nil), b.Instrs[:n]...)
+}
+
+// NumPhis returns the number of phi instructions at the head of the
+// block.
+func (b *Block) NumPhis() int {
+	for i, in := range b.Instrs {
+		if in.Op != OpPhi {
+			return i
+		}
+	}
+	return len(b.Instrs)
 }
 
 // FirstNonPhi returns the index of the first instruction that is
@@ -104,6 +117,30 @@ type Func struct {
 
 	nextID    int
 	usedNames map[string]bool
+
+	// labels counts the blocks of Blocks by label, so NewBlock finds
+	// a collision without a scan. labelsOf records the length, the
+	// backing array and the last block of the Blocks it describes;
+	// when Blocks no longer matches it (a pass resliced, filtered or
+	// reassigned it), or after a Block.SetName, NewBlock rebuilds the
+	// index.
+	labels   map[string]int32
+	labelsOf blocksShape
+}
+
+// blocksShape identifies a Blocks slice cheaply: its length, the
+// address of its first element and its last block.
+type blocksShape struct {
+	n     int
+	first **Block
+	last  *Block
+}
+
+func shapeOf(bs []*Block) blocksShape {
+	if len(bs) == 0 {
+		return blocksShape{}
+	}
+	return blocksShape{len(bs), &bs[0], bs[len(bs)-1]}
 }
 
 // Name returns the function's name.
@@ -132,32 +169,39 @@ func (f *Func) NewBlock(label string) *Block {
 	if label == "" {
 		label = "b"
 	}
+	f.syncLabels()
 	name := label
-	for f.blockByName(name) != nil {
+	for f.labels[name] > 0 {
 		f.nextID++
-		name = fmt.Sprintf("%s.%d", label, f.nextID)
+		name = label + "." + strconv.Itoa(f.nextID)
 	}
 	b := &Block{name: name, Fn: f, Index: len(f.Blocks)}
 	f.Blocks = append(f.Blocks, b)
+	f.labels[name]++
+	f.labelsOf = shapeOf(f.Blocks)
 	return b
 }
 
-func (f *Func) blockByName(name string) *Block {
-	for _, b := range f.Blocks {
-		if b.name == name {
-			return b
-		}
+// syncLabels rebuilds the label index unless it still describes
+// Blocks.
+func (f *Func) syncLabels() {
+	if f.labels != nil && shapeOf(f.Blocks) == f.labelsOf {
+		return
 	}
-	return nil
+	f.labels = make(map[string]int32, len(f.Blocks))
+	for _, b := range f.Blocks {
+		f.labels[b.name]++
+	}
+	f.labelsOf = shapeOf(f.Blocks)
 }
 
 // FreshName returns a new unique value name with the given prefix.
 func (f *Func) FreshName(prefix string) string {
+	var buf [48]byte
 	for {
 		f.nextID++
-		n := fmt.Sprintf("%s%d", prefix, f.nextID)
-		if !f.nameUsed(n) {
-			f.takeName(n)
+		n := string(strconv.AppendInt(append(buf[:0], prefix...), int64(f.nextID), 10))
+		if f.takeName(n) {
 			return n
 		}
 	}
@@ -166,14 +210,14 @@ func (f *Func) FreshName(prefix string) string {
 // UniqueName returns name if it is still free, or name with a numeric
 // suffix otherwise, and reserves the result.
 func (f *Func) UniqueName(name string) string {
-	if !f.nameUsed(name) {
-		f.takeName(name)
+	if f.takeName(name) {
 		return name
 	}
 	return f.FreshName(name + ".")
 }
 
-func (f *Func) nameUsed(n string) bool {
+// takeName reserves n and reports whether it was still free.
+func (f *Func) takeName(n string) bool {
 	if f.usedNames == nil {
 		f.usedNames = make(map[string]bool)
 		for _, p := range f.Params {
@@ -189,14 +233,9 @@ func (f *Func) nameUsed(n string) bool {
 			}
 		}
 	}
-	return f.usedNames[n]
-}
-
-func (f *Func) takeName(n string) {
-	if f.usedNames == nil {
-		f.nameUsed("") // initialize
-	}
+	before := len(f.usedNames)
 	f.usedNames[n] = true
+	return len(f.usedNames) > before
 }
 
 // RecomputeCFG rebuilds predecessor lists and block indices from the

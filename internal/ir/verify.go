@@ -25,14 +25,17 @@ func VerifyFunc(f *Func) error {
 		return fmt.Errorf("function has no blocks")
 	}
 	f.RecomputeCFG()
-	defined := map[string]bool{}
+	defined := make(map[string]bool, len(f.Params)+f.NumInstrs())
 	for _, p := range f.Params {
 		if defined[p.PName] {
 			return fmt.Errorf("duplicate parameter %%%s", p.PName)
 		}
 		defined[p.PName] = true
 	}
-	for _, b := range f.Blocks {
+	// predOf[i] is 1 + the index of the last block found to have
+	// block i as a predecessor.
+	predOf := make([]int, len(f.Blocks))
+	for bi, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %s is empty", b.Name())
 		}
@@ -79,20 +82,20 @@ func VerifyFunc(f *Func) error {
 			}
 		}
 		// Phi incoming blocks must exactly match predecessors.
-		for _, phi := range b.Phis() {
+		phis := b.Instrs[:b.NumPhis()]
+		if len(phis) == 0 {
+			continue
+		}
+		for _, pred := range b.Preds {
+			predOf[pred.Index] = bi + 1
+		}
+		for _, phi := range phis {
 			if len(phi.Args) != len(b.Preds) {
 				return fmt.Errorf("block %s: phi %s has %d incoming, block has %d preds",
 					b.Name(), phi.Ref(), len(phi.Args), len(b.Preds))
 			}
 			for _, pb := range phi.PhiBlocks {
-				found := false
-				for _, pred := range b.Preds {
-					if pred == pb {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if pb.Index >= len(f.Blocks) || f.Blocks[pb.Index] != pb || predOf[pb.Index] != bi+1 {
 					return fmt.Errorf("block %s: phi %s names non-predecessor %s",
 						b.Name(), phi.Ref(), pb.Name())
 				}

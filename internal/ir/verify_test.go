@@ -220,3 +220,46 @@ func TestLineParseErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestVerifyPhiIncoming: a phi must have one operand per predecessor
+// and name only predecessors, including blocks that are not in the
+// function at all.
+func TestVerifyPhiIncoming(t *testing.T) {
+	src := `func @f(i64 %a) i64 {
+entry:
+  %c = icmp lt %a, 0
+  br %c, left, join
+left:
+  jmp join
+join:
+  %x = phi i64 [1, entry], [2, left]
+  ret %x
+}
+`
+	for _, tc := range []struct {
+		name, wantSub string
+		edit          func(f *Func, phi *Instr)
+	}{
+		{"well formed", "", func(f *Func, phi *Instr) {}},
+		{"missing operand", "has 1 incoming, block has 2 preds", func(f *Func, phi *Instr) {
+			phi.Args, phi.PhiBlocks = phi.Args[:1], phi.PhiBlocks[:1]
+		}},
+		{"non-predecessor", "names non-predecessor join", func(f *Func, phi *Instr) {
+			phi.PhiBlocks[1] = f.Blocks[2]
+		}},
+		{"foreign block", "names non-predecessor elsewhere", func(f *Func, phi *Instr) {
+			phi.PhiBlocks[1] = &Block{name: "elsewhere", Index: 1}
+		}},
+	} {
+		f := MustParse(src).Funcs[0]
+		phi := f.Blocks[2].Instrs[0]
+		tc.edit(f, phi)
+		err := VerifyFunc(f)
+		switch {
+		case tc.wantSub == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantSub != "" && (err == nil || !strings.Contains(err.Error(), tc.wantSub)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantSub)
+		}
+	}
+}

@@ -9,8 +9,11 @@ import (
 // arbitrary input: they must never panic, and any accepted program
 // must survive the printer round trip (print, reparse, reprint —
 // byte-identical) and either lower cleanly or fail with an error, not
-// a panic. Seeds live in testdata/fuzz/FuzzParseProgram alongside the
-// f.Add literals.
+// a panic. Nesting is bounded, so no input can exhaust the stack. The
+// printer parenthesizes every binary node, so a chain of more than
+// maxNesting operators reprints deeper than the bound; such a reparse
+// must fail with the nesting error. Seeds live in
+// testdata/fuzz/FuzzParseProgram alongside the f.Add literals.
 func FuzzParseProgram(f *testing.F) {
 	f.Add("int main(void) { return 0; }")
 	f.Add(`int g[4];
@@ -30,18 +33,16 @@ int main(void) {
 	f.Add("int main(void) { 0x1g; }")
 	f.Add("/* unterminated")
 	f.Fuzz(func(t *testing.T, src string) {
-		if strings.Count(src, "{") > 50 {
-			// Deeply nested inputs exercise recursion depth, not
-			// parser logic; the frontend is recursive descent and a
-			// stack overflow on absurd nesting is out of scope.
-			t.Skip()
-		}
 		prog, err := ParseProgram(src)
 		if err != nil {
 			return
 		}
 		out1 := PrintProgram(prog)
 		prog2, err := ParseProgram(out1)
+		if err != nil && strings.Contains(err.Error(), "nesting deeper than") &&
+			strings.Count(out1, "(") > maxNesting {
+			return
+		}
 		if err != nil {
 			t.Fatalf("printed source does not reparse: %v\ninput:\n%q\nprinted:\n%s", err, src, out1)
 		}

@@ -44,7 +44,12 @@ func MustCompile(name, src string) *ir.Module {
 // every local lives in an alloca. Useful for testing the promotion
 // pass itself; most callers want Compile.
 func LowerProgram(name string, prog *Program) (m *ir.Module, err error) {
-	lw := &lowerer{mod: ir.NewModule(name), funcs: map[string]*ir.Func{}}
+	lw := &lowerer{
+		mod:     ir.NewModule(name),
+		funcs:   map[string]*ir.Func{},
+		rets:    map[string]CType{},
+		globals: map[string]*symbol{},
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if le, ok := r.(*lowerError); ok {
@@ -95,12 +100,15 @@ type loopCtx struct {
 }
 
 type lowerer struct {
-	mod   *ir.Module
-	funcs map[string]*ir.Func
-	rets  map[string]CType
+	mod     *ir.Module
+	funcs   map[string]*ir.Func
+	rets    map[string]CType
+	globals map[string]*symbol
 
-	fn     *ir.Func
-	bld    *ir.Builder
+	fn  *ir.Func
+	bld *ir.Builder
+	// scopes are the enclosing block scopes, innermost last; a scope
+	// without declarations stays nil.
 	scopes []map[string]*symbol
 	loops  []loopCtx
 	// terminated is true when the current block already has a
@@ -125,14 +133,19 @@ func irType(t CType) ir.Type {
 }
 
 func (lw *lowerer) lowerGlobal(d *VarDecl) {
-	if lw.mod.GlobalByName(d.Name) != nil {
+	if lw.globals[d.Name] != nil {
 		lw.fail(d.Line, "global %s redeclared", d.Name)
 	}
 	elem := irType(d.Typ)
 	if d.ArrayLen > 0 {
 		elem = ir.ArrayOf(d.ArrayLen, elem)
 	}
-	lw.mod.AddGlobal(d.Name, elem)
+	g := lw.mod.AddGlobal(d.Name, elem)
+	s := &symbol{addr: g, typ: ctypeOf(elem)}
+	if at, ok := elem.(*ir.ArrayType); ok {
+		s.typ, s.isArray = ctypeOf(at.Elem), true
+	}
+	lw.globals[d.Name] = s
 }
 
 func (lw *lowerer) declareFunc(fd *FuncDecl) {
@@ -147,21 +160,21 @@ func (lw *lowerer) declareFunc(fd *FuncDecl) {
 	}
 	f := lw.mod.AddFunc(fd.Name, irType(fd.Ret), names, types)
 	lw.funcs[fd.Name] = f
-	if lw.rets == nil {
-		lw.rets = map[string]CType{}
-	}
 	lw.rets[fd.Name] = fd.Ret
 }
 
-func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, map[string]*symbol{}) }
+func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, nil) }
 func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
 
 func (lw *lowerer) define(line int, name string, s *symbol) {
-	top := lw.scopes[len(lw.scopes)-1]
-	if _, dup := top[name]; dup {
+	top := &lw.scopes[len(lw.scopes)-1]
+	if *top == nil {
+		*top = map[string]*symbol{}
+	}
+	if _, dup := (*top)[name]; dup {
 		lw.fail(line, "%s redeclared in this scope", name)
 	}
-	top[name] = s
+	(*top)[name] = s
 }
 
 func (lw *lowerer) lookup(name string) *symbol {
@@ -170,16 +183,7 @@ func (lw *lowerer) lookup(name string) *symbol {
 			return s
 		}
 	}
-	if g := lw.mod.GlobalByName(name); g != nil {
-		elem := g.Elem
-		isArray := false
-		if at, ok := elem.(*ir.ArrayType); ok {
-			elem = at.Elem
-			isArray = true
-		}
-		return &symbol{addr: g, typ: ctypeOf(elem), isArray: isArray}
-	}
-	return nil
+	return lw.globals[name]
 }
 
 func (lw *lowerer) lowerFunc(fd *FuncDecl) {
@@ -592,14 +596,23 @@ func (lw *lowerer) lowerBin(e *BinExpr) (ir.Value, CType) {
 		if lt.IsPtr() || rt.IsPtr() {
 			lw.fail(e.Line, "pointer operand to %q", e.Op)
 		}
-		ops := map[string]ir.Op{
-			"*": ir.OpMul, "/": ir.OpDiv, "%": ir.OpRem, "&": ir.OpAnd,
-			"|": ir.OpOr, "^": ir.OpXor, "<<": ir.OpShl, ">>": ir.OpShr,
-		}
-		return lw.bld.Bin(ops[e.Op], l, r), CType{}
+		return lw.bld.Bin(binOps[e.Op], l, r), CType{}
 	}
 	panic("minic: bad binary op " + e.Op)
 }
+
+// binOps and compoundOps map the integer operators to IR opcodes.
+var (
+	binOps = map[string]ir.Op{
+		"*": ir.OpMul, "/": ir.OpDiv, "%": ir.OpRem, "&": ir.OpAnd,
+		"|": ir.OpOr, "^": ir.OpXor, "<<": ir.OpShl, ">>": ir.OpShr,
+	}
+	compoundOps = map[string]ir.Op{
+		"+=": ir.OpAdd, "-=": ir.OpSub, "*=": ir.OpMul,
+		"/=": ir.OpDiv, "%=": ir.OpRem, "<<=": ir.OpShl,
+		">>=": ir.OpShr,
+	}
+)
 
 // materializeBool lowers a boolean expression used as a value into the
 // canonical branch-and-phi form producing 0 or 1.
@@ -677,12 +690,7 @@ func (lw *lowerer) lowerAssign(e *AssignExpr) (ir.Value, CType) {
 		neg := lw.bld.Sub(ir.ConstInt(0), r)
 		nv = lw.bld.GEP(old, neg)
 	case lt.IsInt() && rt.IsInt():
-		ops := map[string]ir.Op{
-			"+=": ir.OpAdd, "-=": ir.OpSub, "*=": ir.OpMul,
-			"/=": ir.OpDiv, "%=": ir.OpRem, "<<=": ir.OpShl,
-			">>=": ir.OpShr,
-		}
-		op, ok := ops[e.Op]
+		op, ok := compoundOps[e.Op]
 		if !ok {
 			lw.fail(e.Line, "unsupported compound assignment %q", e.Op)
 		}

@@ -4,19 +4,30 @@ import (
 	"fmt"
 )
 
-// ParseProgram parses a mini-C translation unit into an AST.
+// maxNesting bounds how deeply statements, parenthesized and indexed
+// expressions, call arguments, assignments and unary operators may
+// nest. The parser and lowering recurse once per level, and a Go stack
+// overflow cannot be recovered, so deeper input is a parse error
+// instead. Real programs nest a few levels deep.
+const maxNesting = 1000
+
+// ParseProgram parses a mini-C translation unit into an AST. The
+// parser pulls tokens from the lexer one at a time; a lexical error
+// anywhere in src wins over a parse error, as if src had been lexed
+// in full first.
 func ParseProgram(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &cparser{toks: toks}
+	p := &cparser{lx: newLexer(src)}
 	return p.program()
 }
 
 type cparser struct {
-	toks []Token
-	pos  int
+	lx lexer
+	// tok is the current token; ahead is the one after it when
+	// hasAhead is set.
+	tok      Token
+	ahead    Token
+	hasAhead bool
+	depth    int
 }
 
 type parseError struct {
@@ -28,59 +39,98 @@ func (e *parseError) Error() string {
 	return fmt.Sprintf("minic: line %d: %s", e.line, e.msg)
 }
 
+// errLexical aborts the parse on a lexical error; program reports the
+// lexer's error instead.
+var errLexical = &parseError{msg: "lexical error"}
+
 func (p *cparser) fail(format string, args ...any) {
-	panic(&parseError{line: p.peek().Line, msg: fmt.Sprintf(format, args...)})
+	panic(&parseError{line: p.tok.Line, msg: fmt.Sprintf(format, args...)})
 }
 
-func (p *cparser) peek() Token  { return p.toks[p.pos] }
-func (p *cparser) peek2() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-
-func (p *cparser) next() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
+func (p *cparser) scan() Token {
+	t := p.lx.next()
+	if p.lx.err != nil {
+		panic(errLexical)
 	}
 	return t
 }
 
+func (p *cparser) peek2() Token {
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.scan(), true
+	}
+	return p.ahead
+}
+
+// advance moves to the next token; at end of file it stays there.
+func (p *cparser) advance() {
+	if p.hasAhead {
+		p.tok, p.hasAhead = p.ahead, false
+		return
+	}
+	p.tok = p.scan()
+}
+
 func (p *cparser) accept(lit string) bool {
-	t := p.peek()
-	if (t.Kind == TokPunct || t.Kind == TokKeyword) && t.Lit == lit {
-		p.pos++
+	if (p.tok.Kind == TokPunct || p.tok.Kind == TokKeyword) && p.tok.Lit == lit {
+		p.advance()
 		return true
 	}
 	return false
 }
 
 func (p *cparser) expect(lit string) Token {
-	t := p.peek()
+	t := p.tok
 	if (t.Kind == TokPunct || t.Kind == TokKeyword) && t.Lit == lit {
-		p.pos++
+		p.advance()
 		return t
 	}
 	p.fail("expected %q, got %s", lit, t)
 	return Token{}
 }
 
+// isPunct reports whether the current token is the punctuation lit.
+func (p *cparser) isPunct(lit string) bool {
+	return p.tok.Kind == TokPunct && p.tok.Lit == lit
+}
+
+// enter counts one more level of nesting and fails past maxNesting;
+// leave undoes it.
+func (p *cparser) enter() {
+	if p.depth++; p.depth > maxNesting {
+		p.fail("nesting deeper than %d levels", maxNesting)
+	}
+}
+
+func (p *cparser) leave() { p.depth-- }
+
 func (p *cparser) program() (prog *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if pe, ok := r.(*parseError); ok {
-				prog, err = nil, pe
+			pe, ok := r.(*parseError)
+			if !ok {
+				panic(r)
+			}
+			// Drain the lexer: a later invalid character wins.
+			for p.lx.err == nil && p.lx.next().Kind != TokEOF {
+			}
+			if p.lx.err != nil {
+				prog, err = nil, p.lx.err
 				return
 			}
-			panic(r)
+			prog, err = nil, pe
 		}
 	}()
+	p.advance()
 	prog = &Program{}
-	for p.peek().Kind != TokEOF {
+	for p.tok.Kind != TokEOF {
 		base := p.baseType()
 		typ := base
 		for p.accept("*") {
 			typ.PtrDepth++
 		}
 		name := p.ident()
-		if p.peek().Lit == "(" && p.peek().Kind == TokPunct {
+		if p.isPunct("(") {
 			prog.Funcs = append(prog.Funcs, p.funcRest(typ, name))
 			continue
 		}
@@ -104,21 +154,21 @@ func (p *cparser) program() (prog *Program, err error) {
 }
 
 func (p *cparser) ident() string {
-	t := p.peek()
+	t := p.tok
 	if t.Kind != TokIdent {
 		p.fail("expected identifier, got %s", t)
 	}
-	p.pos++
+	p.advance()
 	return t.Lit
 }
 
 // baseType parses the "int" or "void" keyword without pointer stars.
 func (p *cparser) baseType() CType {
-	t := p.peek()
+	t := p.tok
 	if t.Kind != TokKeyword || (t.Lit != "int" && t.Lit != "void") {
 		p.fail("expected type, got %s", t)
 	}
-	p.pos++
+	p.advance()
 	return CType{Void: t.Lit == "void"}
 }
 
@@ -157,20 +207,20 @@ func (p *cparser) declList() *DeclStmt {
 
 // startsType reports whether the next tokens begin a declaration.
 func (p *cparser) startsType() bool {
-	t := p.peek()
+	t := p.tok
 	return t.Kind == TokKeyword && (t.Lit == "int" || t.Lit == "void")
 }
 
 // varRest parses the remainder of a variable declaration after the
 // type and name: optional array suffix and initializer.
 func (p *cparser) varRest(typ CType, name string) *VarDecl {
-	d := &VarDecl{Name: name, Typ: typ, Line: p.peek().Line}
+	d := &VarDecl{Name: name, Typ: typ, Line: p.tok.Line}
 	if p.accept("[") {
-		t := p.peek()
+		t := p.tok
 		if t.Kind != TokInt {
 			p.fail("expected array length, got %s", t)
 		}
-		p.pos++
+		p.advance()
 		d.ArrayLen = t.Val
 		p.expect("]")
 	}
@@ -181,11 +231,11 @@ func (p *cparser) varRest(typ CType, name string) *VarDecl {
 }
 
 func (p *cparser) funcRest(ret CType, name string) *FuncDecl {
-	fd := &FuncDecl{Name: name, Ret: ret, Line: p.peek().Line}
+	fd := &FuncDecl{Name: name, Ret: ret, Line: p.tok.Line}
 	p.expect("(")
 	if !p.accept(")") {
-		if p.peek().Kind == TokKeyword && p.peek().Lit == "void" && p.peek2().Lit == ")" {
-			p.next() // (void)
+		if p.tok.Kind == TokKeyword && p.tok.Lit == "void" && p.peek2().Lit == ")" {
+			p.advance() // (void)
 			p.expect(")")
 		} else {
 			for {
@@ -196,7 +246,7 @@ func (p *cparser) funcRest(ret CType, name string) *FuncDecl {
 					p.expect("]")
 					pt.PtrDepth++
 				}
-				fd.Params = append(fd.Params, &VarDecl{Name: pn, Typ: pt, Line: p.peek().Line})
+				fd.Params = append(fd.Params, &VarDecl{Name: pn, Typ: pt, Line: p.tok.Line})
 				if !p.accept(",") {
 					break
 				}
@@ -212,7 +262,7 @@ func (p *cparser) block() *BlockStmt {
 	p.expect("{")
 	b := &BlockStmt{}
 	for !p.accept("}") {
-		if p.peek().Kind == TokEOF {
+		if p.tok.Kind == TokEOF {
 			p.fail("unexpected end of file in block")
 		}
 		b.Stmts = append(b.Stmts, p.stmt())
@@ -221,12 +271,14 @@ func (p *cparser) block() *BlockStmt {
 }
 
 func (p *cparser) stmt() Stmt {
-	t := p.peek()
+	p.enter()
+	defer p.leave()
+	t := p.tok
 	switch {
 	case t.Lit == "{" && t.Kind == TokPunct:
 		return p.block()
 	case t.Kind == TokKeyword && t.Lit == "if":
-		p.next()
+		p.advance()
 		p.expect("(")
 		cond := p.expr()
 		p.expect(")")
@@ -236,13 +288,13 @@ func (p *cparser) stmt() Stmt {
 		}
 		return s
 	case t.Kind == TokKeyword && t.Lit == "while":
-		p.next()
+		p.advance()
 		p.expect("(")
 		cond := p.expr()
 		p.expect(")")
 		return &WhileStmt{Cond: cond, Body: p.stmt()}
 	case t.Kind == TokKeyword && t.Lit == "do":
-		p.next()
+		p.advance()
 		body := p.stmt()
 		p.expect("while")
 		p.expect("(")
@@ -251,7 +303,7 @@ func (p *cparser) stmt() Stmt {
 		p.expect(";")
 		return &WhileStmt{Cond: cond, Body: body, DoWhile: true}
 	case t.Kind == TokKeyword && t.Lit == "for":
-		p.next()
+		p.advance()
 		p.expect("(")
 		s := &ForStmt{}
 		if !p.accept(";") {
@@ -273,7 +325,7 @@ func (p *cparser) stmt() Stmt {
 		s.Body = p.stmt()
 		return s
 	case t.Kind == TokKeyword && t.Lit == "return":
-		p.next()
+		p.advance()
 		s := &ReturnStmt{Line: t.Line}
 		if !p.accept(";") {
 			s.X = p.expr()
@@ -281,11 +333,11 @@ func (p *cparser) stmt() Stmt {
 		}
 		return s
 	case t.Kind == TokKeyword && t.Lit == "break":
-		p.next()
+		p.advance()
 		p.expect(";")
 		return &BreakStmt{Line: t.Line}
 	case t.Kind == TokKeyword && t.Lit == "continue":
-		p.next()
+		p.advance()
 		p.expect(";")
 		return &ContinueStmt{Line: t.Line}
 	case p.startsType():
@@ -293,7 +345,7 @@ func (p *cparser) stmt() Stmt {
 		p.expect(";")
 		return ds
 	case t.Lit == ";" && t.Kind == TokPunct:
-		p.next()
+		p.advance()
 		return &BlockStmt{}
 	default:
 		x := p.expr()
@@ -307,8 +359,8 @@ func (p *cparser) stmt() Stmt {
 // by folding into the last expression with side effects preserved.
 func (p *cparser) expr() Expr {
 	e := p.assignExpr()
-	for p.peek().Kind == TokPunct && p.peek().Lit == "," {
-		p.next()
+	for p.isPunct(",") {
+		p.advance()
 		r := p.assignExpr()
 		// Represent the comma operator as a binary node evaluated for
 		// both sides; lowering discards the left value.
@@ -318,12 +370,14 @@ func (p *cparser) expr() Expr {
 }
 
 func (p *cparser) assignExpr() Expr {
-	l := p.orExpr()
-	t := p.peek()
+	p.enter()
+	defer p.leave()
+	l := p.binExpr(1)
+	t := p.tok
 	if t.Kind == TokPunct {
 		switch t.Lit {
 		case "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=":
-			p.next()
+			p.advance()
 			r := p.assignExpr()
 			return &AssignExpr{Op: t.Lit, L: l, R: r, Line: t.Line}
 		}
@@ -331,61 +385,71 @@ func (p *cparser) assignExpr() Expr {
 	return l
 }
 
-// Binary precedence climbing: || < && < |,^,& < ==,!= < relational <
-// shifts < additive < multiplicative.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binLevel is the binary operator precedence table: || < && < | < ^ <
+// & < ==,!= < relational < shifts < additive < multiplicative, levels
+// 1 to 10. It returns 0 for a token that is no binary operator.
+func binLevel(t Token) int {
+	if t.Kind != TokPunct {
+		return 0
+	}
+	switch t.Lit {
+	case "||":
+		return 1
+	case "&&":
+		return 2
+	case "|":
+		return 3
+	case "^":
+		return 4
+	case "&":
+		return 5
+	case "==", "!=":
+		return 6
+	case "<", "<=", ">", ">=":
+		return 7
+	case "<<", ">>":
+		return 8
+	case "+", "-":
+		return 9
+	case "*", "/", "%":
+		return 10
+	}
+	return 0
 }
 
-func (p *cparser) orExpr() Expr { return p.binExpr(0) }
-
-func (p *cparser) binExpr(level int) Expr {
-	if level == len(binLevels) {
-		return p.unaryExpr()
-	}
-	l := p.binExpr(level + 1)
+// binExpr parses a chain of binary operators of level min or tighter
+// by precedence climbing. Operators of one level associate to the
+// left and are built in the loop, so a long chain does not recurse.
+func (p *cparser) binExpr(min int) Expr {
+	l := p.unaryExpr()
 	for {
-		t := p.peek()
-		if t.Kind != TokPunct || !contains(binLevels[level], t.Lit) {
+		t := p.tok
+		level := binLevel(t)
+		if level < min {
 			return l
 		}
-		p.next()
+		p.advance()
 		r := p.binExpr(level + 1)
 		l = &BinExpr{Op: t.Lit, L: l, R: r, Line: t.Line}
 	}
 }
 
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 func (p *cparser) unaryExpr() Expr {
-	t := p.peek()
+	t := p.tok
 	if t.Kind == TokPunct {
 		switch t.Lit {
-		case "-", "!", "*", "&", "~":
-			p.next()
-			return &UnExpr{Op: t.Lit, X: p.unaryExpr(), Line: t.Line}
-		case "+":
-			p.next()
-			return p.unaryExpr()
-		case "++", "--":
-			p.next()
-			return &IncDecExpr{Op: t.Lit, X: p.unaryExpr(), Line: t.Line}
+		case "-", "!", "*", "&", "~", "+", "++", "--":
+			p.advance()
+			p.enter()
+			x := p.unaryExpr()
+			p.leave()
+			switch t.Lit {
+			case "+":
+				return x
+			case "++", "--":
+				return &IncDecExpr{Op: t.Lit, X: x, Line: t.Line}
+			}
+			return &UnExpr{Op: t.Lit, X: x, Line: t.Line}
 		}
 	}
 	return p.postfixExpr()
@@ -394,18 +458,18 @@ func (p *cparser) unaryExpr() Expr {
 func (p *cparser) postfixExpr() Expr {
 	e := p.primaryExpr()
 	for {
-		t := p.peek()
+		t := p.tok
 		if t.Kind != TokPunct {
 			return e
 		}
 		switch t.Lit {
 		case "[":
-			p.next()
+			p.advance()
 			idx := p.expr()
 			p.expect("]")
 			e = &IndexExpr{X: e, Idx: idx, Line: t.Line}
 		case "++", "--":
-			p.next()
+			p.advance()
 			e = &IncDecExpr{Op: t.Lit, X: e, Post: true, Line: t.Line}
 		default:
 			return e
@@ -414,15 +478,15 @@ func (p *cparser) postfixExpr() Expr {
 }
 
 func (p *cparser) primaryExpr() Expr {
-	t := p.peek()
+	t := p.tok
 	switch {
 	case t.Kind == TokInt:
-		p.next()
+		p.advance()
 		return &IntLit{Val: t.Val, Line: t.Line}
 	case t.Kind == TokIdent:
-		p.next()
-		if p.peek().Kind == TokPunct && p.peek().Lit == "(" {
-			p.next()
+		p.advance()
+		if p.isPunct("(") {
+			p.advance()
 			c := &CallExpr{Name: t.Lit, Line: t.Line}
 			if !p.accept(")") {
 				for {
@@ -437,18 +501,11 @@ func (p *cparser) primaryExpr() Expr {
 		}
 		return &Ident{Name: t.Lit, Line: t.Line}
 	case t.Kind == TokPunct && t.Lit == "(":
-		p.next()
+		p.advance()
 		e := p.expr()
 		p.expect(")")
 		return e
 	}
 	p.fail("expected expression, got %s", t)
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -31,12 +31,6 @@ const (
 	TokKeyword // int, void, if, else, while, for, return, break, continue
 )
 
-var keywords = map[string]bool{
-	"int": true, "void": true, "if": true, "else": true,
-	"while": true, "for": true, "return": true, "break": true,
-	"continue": true, "do": true,
-}
-
 // Token is a lexical token with its source line for diagnostics.
 type Token struct {
 	Kind TokKind
@@ -52,82 +46,142 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Lit)
 }
 
-// punct operators, longest first so the lexer is greedy.
-var puncts = []string{
-	"<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
-	"+=", "-=", "*=", "/=", "%=", "<<", ">>",
-	"+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
-	"(", ")", "{", "}", "[", "]", ";", ",",
+// Byte classes of the lexer.
+const (
+	clsOther  byte = iota // punctuation or an invalid character
+	clsSpace              // ' ', '\t', '\r'
+	clsDigit              // '0'..'9'
+	clsLetter             // starts or continues an identifier
+)
+
+// class maps each byte to its class. A byte is a letter when
+// unicode.IsLetter accepts it as a rune, so the Latin-1 letters in
+// 0x80–0xFF count as identifier bytes on their own.
+var class = func() (t [256]byte) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c == ' ' || c == '\t' || c == '\r':
+			t[c] = clsSpace
+		case c >= '0' && c <= '9':
+			t[c] = clsDigit
+		case unicode.IsLetter(rune(c)) || c == '_':
+			t[c] = clsLetter
+		}
+	}
+	return t
+}()
+
+// puncts lists the punctuation spellings by first byte, longest first,
+// so the lexer is greedy.
+var puncts = func() (t [256][]string) {
+	for _, p := range []string{
+		"<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
+		"+=", "-=", "*=", "/=", "%=", "<<", ">>",
+		"+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
+		"(", ")", "{", "}", "[", "]", ";", ",",
+	} {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
+
+// isKeyword reports whether an identifier spelling is reserved.
+func isKeyword(w string) bool {
+	switch w {
+	case "int", "void", "if", "else", "while", "for", "return", "break", "continue", "do":
+		return true
+	}
+	return false
+}
+
+// lexer scans src one token per call to next. Comments (// and /* */)
+// are skipped. An invalid character sets err, which is sticky: next
+// then returns end of file.
+type lexer struct {
+	src  string
+	pos  int
+	line int
+	err  error
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
+
+func (lx *lexer) next() Token {
+	src, i, n := lx.src, lx.pos, len(lx.src)
+	for i < n {
+		c := src[i]
+		switch class[c] {
+		case clsSpace:
+			i++
+			continue
+		case clsDigit:
+			j := i
+			var v int64
+			for j < n && class[src[j]] == clsDigit {
+				v = v*10 + int64(src[j]-'0')
+				j++
+			}
+			lx.pos = j
+			return Token{Kind: TokInt, Lit: src[i:j], Val: v, Line: lx.line}
+		case clsLetter:
+			j := i + 1
+			for j < n && class[src[j]] >= clsDigit {
+				j++
+			}
+			lx.pos = j
+			word := src[i:j]
+			if isKeyword(word) {
+				return Token{Kind: TokKeyword, Lit: word, Line: lx.line}
+			}
+			return Token{Kind: TokIdent, Lit: word, Line: lx.line}
+		}
+		switch {
+		case c == '\n':
+			lx.line++
+			i++
+			continue
+		case c == '/' && i+1 < n && src[i+1] == '/':
+			for i < n && src[i] != '\n' {
+				i++
+			}
+			continue
+		case c == '/' && i+1 < n && src[i+1] == '*':
+			i += 2
+			for i+1 < n && !(src[i] == '*' && src[i+1] == '/') {
+				if src[i] == '\n' {
+					lx.line++
+				}
+				i++
+			}
+			i += 2
+			continue
+		}
+		for _, p := range puncts[c] {
+			if i+len(p) <= n && src[i:i+len(p)] == p {
+				lx.pos = i + len(p)
+				return Token{Kind: TokPunct, Lit: p, Line: lx.line}
+			}
+		}
+		lx.err = fmt.Errorf("minic: line %d: invalid character %q", lx.line, c)
+		i = n
+	}
+	lx.pos = n
+	return Token{Kind: TokEOF, Line: lx.line}
 }
 
 // Lex tokenizes src. Comments (// and /* */) are skipped. An invalid
 // rune produces an error naming its line.
 func Lex(src string) ([]Token, error) {
+	lx := newLexer(src)
 	var toks []Token
-	line := 1
-	i := 0
-	n := len(src)
-	for i < n {
-		c := src[i]
-		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < n && src[i+1] == '*':
-			i += 2
-			for i+1 < n && !(src[i] == '*' && src[i+1] == '/') {
-				if src[i] == '\n' {
-					line++
-				}
-				i++
-			}
-			i += 2
-		case c >= '0' && c <= '9':
-			j := i
-			var v int64
-			for j < n && src[j] >= '0' && src[j] <= '9' {
-				v = v*10 + int64(src[j]-'0')
-				j++
-			}
-			toks = append(toks, Token{Kind: TokInt, Lit: src[i:j], Val: v, Line: line})
-			i = j
-		case isLetter(rune(c)):
-			j := i
-			for j < n && (isLetter(rune(src[j])) || src[j] >= '0' && src[j] <= '9') {
-				j++
-			}
-			word := src[i:j]
-			kind := TokIdent
-			if keywords[word] {
-				kind = TokKeyword
-			}
-			toks = append(toks, Token{Kind: kind, Lit: word, Line: line})
-			i = j
-		default:
-			matched := false
-			for _, p := range puncts {
-				if i+len(p) <= n && src[i:i+len(p)] == p {
-					toks = append(toks, Token{Kind: TokPunct, Lit: p, Line: line})
-					i += len(p)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("minic: line %d: invalid character %q", line, c)
-			}
+	for {
+		t := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Line: line})
-	return toks, nil
-}
-
-func isLetter(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
 }

@@ -1,0 +1,164 @@
+package ssa_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/csmith"
+	"repro/internal/essa"
+	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/ssa"
+	"repro/internal/synth"
+)
+
+// TestDifferentialPromote: Promote produces exactly the IR of the
+// reference implementation — the same value names, phi order and phi
+// operand order, the same number of distinct undefs, and the same name
+// counter, which the sigma names of a later InsertSigmas expose. It
+// checks the lowered frontend output and Eliminate→Promote round trips
+// of the SSA form and of the e-SSA form.
+func TestDifferentialPromote(t *testing.T) {
+	progs := append(corpus.Spec(), corpus.TestSuite(100)...)
+	seeds, funcs := int64(300), 2000
+	if testing.Short() || raceEnabled {
+		progs = append(corpus.Spec()[:8], corpus.TestSuite(8)...)
+		seeds, funcs = 40, 300
+	}
+	type input struct{ name, src string }
+	// Reads before any store: each must get its own undef.
+	inputs := []input{{"uninit", `int f(int c) {
+  int x, y, *p;
+  if (c) { y = x + x; } else { p = p + 1; y = *p; }
+  while (c < 3) { c = c + x; }
+  return y + x;
+}`}}
+	for _, p := range progs {
+		inputs = append(inputs, input{p.Name, p.Source})
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("csmith-%d", seed),
+			csmith.Generate(csmith.Config{Seed: seed, MaxPtrDepth: 2 + int(seed%4)})})
+	}
+	for _, s := range []int64{1, 2} {
+		inputs = append(inputs, input{fmt.Sprintf("synth-%d-%d", funcs, s), synth.Module(funcs, s)})
+	}
+	for shard := 0; shard < 2; shard++ {
+		shard := shard
+		t.Run(fmt.Sprintf("shard-%d", shard), func(t *testing.T) {
+			t.Parallel()
+			for i := shard; i < len(inputs); i += 2 {
+				checkPromote(t, inputs[i].name, inputs[i].src)
+			}
+		})
+	}
+}
+
+// checkPromote compares both implementations on fresh lowerings of
+// src, then on round trips through Eliminate.
+func checkPromote(t *testing.T, name, src string) {
+	t.Helper()
+	prog, err := minic.ParseProgram(src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	lower := func() *ir.Module {
+		m, err := minic.LowerProgram(name, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return m
+	}
+	want, got := lower(), lower()
+	comparePromote(t, name+" lowered", want, got)
+	for _, f := range want.Funcs {
+		ssa.Eliminate(f)
+	}
+	for _, f := range got.Funcs {
+		ssa.Eliminate(f)
+	}
+	comparePromote(t, name+" ssa round trip", want, got)
+	for _, m := range []*ir.Module{want, got} {
+		for _, f := range m.Funcs {
+			essa.Transform(f, nil)
+			ssa.Eliminate(f)
+		}
+	}
+	comparePromote(t, name+" e-ssa round trip", want, got)
+}
+
+// comparePromote promotes want with the reference and got with
+// Promote, requires identical results, then inserts sigmas into both
+// and compares again.
+func comparePromote(t *testing.T, label string, want, got *ir.Module) {
+	t.Helper()
+	if want.String() != got.String() {
+		t.Fatalf("%s: inputs differ", label)
+	}
+	for i := range want.Funcs {
+		nw := ssa.ReferencePromote(want.Funcs[i])
+		ng := ssa.Promote(got.Funcs[i])
+		if nw != ng {
+			t.Fatalf("%s: @%s: promoted %d allocas, reference %d", label, got.Funcs[i].FName, ng, nw)
+		}
+		if err := ssa.VerifySSA(got.Funcs[i]); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if w, g := want.String(), got.String(); w != g {
+		t.Fatalf("%s: Promote output differs from the reference\n%s", label, firstDiff(w, g))
+	}
+	if w, g := undefs(want), undefs(got); w != g {
+		t.Fatalf("%s: %d distinct undefs, reference %d", label, g, w)
+	}
+	for _, m := range []*ir.Module{want, got} {
+		for _, f := range m.Funcs {
+			essa.InsertSigmas(f)
+		}
+	}
+	if w, g := want.String(), got.String(); w != g {
+		t.Fatalf("%s: sigma insertion after Promote differs\n%s", label, firstDiff(w, g))
+	}
+}
+
+// undefs counts the distinct undef values among the operands of m.
+func undefs(m *ir.Module) int {
+	seen := map[*ir.Undef]bool{}
+	for _, f := range m.Funcs {
+		f.Instrs(func(in *ir.Instr) bool {
+			for _, a := range in.Args {
+				if u, ok := a.(*ir.Undef); ok {
+					seen[u] = true
+				}
+			}
+			return true
+		})
+	}
+	return len(seen)
+}
+
+// firstDiff renders the first differing line of two texts.
+func firstDiff(want, got string) string {
+	line := 1
+	for i := 0; i < len(want) && i < len(got); i++ {
+		if want[i] != got[i] {
+			return fmt.Sprintf("line %d:\nwant %q\ngot  %q", line, lineAt(want, i), lineAt(got, i))
+		}
+		if want[i] == '\n' {
+			line++
+		}
+	}
+	return fmt.Sprintf("lengths %d (want) and %d (got)", len(want), len(got))
+}
+
+func lineAt(s string, i int) string {
+	start, end := i, i
+	for start > 0 && s[start-1] != '\n' {
+		start--
+	}
+	for end < len(s) && s[end] != '\n' {
+		end++
+	}
+	return s[start:end]
+}
