@@ -167,14 +167,15 @@ func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, nil) }
 func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
 
 func (lw *lowerer) define(line int, name string, s *symbol) {
-	top := &lw.scopes[len(lw.scopes)-1]
-	if *top == nil {
-		*top = map[string]*symbol{}
+	top := lw.scopes[len(lw.scopes)-1]
+	if top == nil {
+		top = map[string]*symbol{}
+		lw.scopes[len(lw.scopes)-1] = top
 	}
-	if _, dup := (*top)[name]; dup {
+	if _, dup := top[name]; dup {
 		lw.fail(line, "%s redeclared in this scope", name)
 	}
-	(*top)[name] = s
+	top[name] = s
 }
 
 func (lw *lowerer) lookup(name string) *symbol {

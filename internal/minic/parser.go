@@ -112,7 +112,8 @@ func (p *cparser) program() (prog *Program, err error) {
 				panic(r)
 			}
 			// Drain the lexer: a later invalid character wins.
-			for p.lx.err == nil && p.lx.next().Kind != TokEOF {
+			for p.lx.err == nil && p.tok.Kind != TokEOF {
+				p.tok = p.lx.next()
 			}
 			if p.lx.err != nil {
 				prog, err = nil, p.lx.err

@@ -46,7 +46,8 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Lit)
 }
 
-// Byte classes of the lexer.
+// Byte classes of the lexer. Digits and letters come last, so
+// class >= clsDigit tests for a byte that continues an identifier.
 const (
 	clsOther  byte = iota // punctuation or an invalid character
 	clsSpace              // ' ', '\t', '\r'
