@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"math/rand"
 	"reflect"
@@ -244,17 +243,18 @@ func mutate(rng *rand.Rand, src string) string {
 }
 
 // hashFrontend feeds every observable of the frontend on src into h:
-// the printed AST or the parse error, every AST field (lines
-// included), the LowerProgram IR or its error, the Compile IR or its
-// error, and the IR after sigma insertion, the pre-range pass and
-// subtraction splitting.
-func hashFrontend(h io.Writer, name, src string) {
+// the parse error or every AST field (lines included), the
+// LowerProgram IR or its error, the Compile IR or its error, and the
+// IR after sigma insertion, the pre-range pass and subtraction
+// splitting. It returns the printed AST, or "" when src does not
+// parse.
+func hashFrontend(h io.Writer, name, src string) (printed string) {
 	prog, err := minic.ParseProgram(src)
 	if err != nil {
 		fmt.Fprintf(h, "parse: %v\n", err)
-		return
+		return ""
 	}
-	io.WriteString(h, minic.PrintProgram(prog))
+	printed = minic.PrintProgram(prog)
 	dumpAST(h, reflect.ValueOf(prog))
 	if m, err := minic.LowerProgram(name, prog); err != nil {
 		fmt.Fprintf(h, "lower: %v\n", err)
@@ -264,7 +264,7 @@ func hashFrontend(h io.Writer, name, src string) {
 	m, err := minic.Compile(name, src)
 	if err != nil {
 		fmt.Fprintf(h, "compile: %v\n", err)
-		return
+		return printed
 	}
 	io.WriteString(h, m.String())
 	for _, f := range m.Funcs {
@@ -275,6 +275,7 @@ func hashFrontend(h io.Writer, name, src string) {
 		essa.SplitSubtractions(f, pre)
 	}
 	io.WriteString(h, m.String())
+	return printed
 }
 
 // dumpAST writes every field of an AST value, recursively.
@@ -306,20 +307,35 @@ func dumpAST(w io.Writer, v reflect.Value) {
 	}
 }
 
-// Digests of hashFrontend over each input group, chained in order,
-// recorded before the frontend was rewritten for linear time.
+// Digests of hashFrontend over each input group, chained in order.
+// The frontend digests were recorded before the frontend was rewritten
+// for linear time. The printed digests were recorded when the printer
+// began to write only the parentheses a tree needs and else-if chains
+// flat, so that a printed program nests no deeper than its source.
 var (
 	pinnedFrontend = map[string]string{
-		"corpus": "82c0097e46fa2d3eb3e7b961fa106d64e280313bb41d0c1a95a2dd84d7b4459d",
-		"synth":  "b8146450c81415b8153f3b5d5fb05b34982700a5022c1cdb45848009ec06fd09",
-		"csmith": "3eb7e4a62c6120787fc22a2e3e5eea3a827ebeed4b215f51e8fe23881fa22a6e",
-		"mutant": "ec760a8e635a4b5f9f8430e773358e138636020b1f279e6e03e08ab6a0bfea47",
+		"corpus": "017aae5ca41e90ef4e09c2f9a270800941638f07c77927962230632f4f68ed85",
+		"synth":  "925678aa819e3b76adf0e63dc5a54c35ad0fb01a37c4a41bfadb33f914589e48",
+		"csmith": "58d1e122811ebe588fb4ed8ae7ec23c4774b43008b55382a71e1ae222db3d7d5",
+		"mutant": "68b4dfa627469d0725535708feb71b7b6da6b10c28dea9277446ce40e07f9e70",
 	}
 	pinnedFrontendShort = map[string]string{
-		"corpus": "bbb9141029d2bce5a6c1e20eab24179fae3061e1a93cdfe909a4b2950e8361d6",
-		"synth":  "4b16c160683b7f106661f39ea7a6ffc6737b4d303aa4a31b7e6edd696df12539",
-		"csmith": "9cba06572b71133cb1470dd70d8495c31754fae2b63afd7d1045a5f20429ebae",
-		"mutant": "c68cf86ae57e4b368ed5e49717e5976e084f452a2750a710e322f92f73423c99",
+		"corpus": "1cc7f819fc62cdd3335bd449aa1d77df9ecea65e3b567c02dde65d01d4fbb578",
+		"synth":  "5fb348ecc56e8f23b2159d5194a75b90f3e94e0f8c466af3e2ec44ea2bb3fa78",
+		"csmith": "6b28932ffd6477b4386e52f5582a4c8db544edaf98a8314320b93c448cbe9aa2",
+		"mutant": "0b9d7e3801b6d499895ed8473c70f629b1352d0c01ffc1e27c802022f5046e52",
+	}
+	pinnedPrinted = map[string]string{
+		"corpus": "b586eb7a6389344e11089b9f39e72c83f9dc62d6397596259946ff74c3e6166b",
+		"synth":  "12282f80ca99540de5063a40cf8301df3f0be52132e2e27630833e1579f08d76",
+		"csmith": "12ff5d8977ef9f6249b070c9a71482bee8c334e47142d24cd2d8b35b4891d9a0",
+		"mutant": "59003cb26bc1cb07ec2db9dce28d6e846566242f0cf3707be121af2a8a5e05f0",
+	}
+	pinnedPrintedShort = map[string]string{
+		"corpus": "d4a60c92b9e552ad43e154155b5c271787b1c52e9aeb4a8b56bc2dc1f9a38581",
+		"synth":  "ce2d3942fe371b31d591f55dbaa971cb7cc585bb39c3cfd82977f9d8bcc59c5b",
+		"csmith": "0e6284ea003ef7ef4b7ba7aec4524c223408441803ef51ffa1ac0c95bfb0f8c7",
+		"mutant": "ade920aa5ac590a4f99efd3bf7b8787bcad8944e67c80f26417854e99ac64d31",
 	}
 )
 
@@ -327,34 +343,45 @@ var (
 // e-SSA passes produce exactly the output they produced before the
 // frontend was rewritten for linear time — the same ASTs with the
 // same lines, the same errors, the same value names, block labels,
-// instruction order and phi operand order.
+// instruction order and phi operand order. Every printed program
+// reparses and reprints to itself.
 func TestFrontendPinned(t *testing.T) {
 	short := testing.Short() || raceEnabled
-	want := pinnedFrontend
+	want, wantPrinted := pinnedFrontend, pinnedPrinted
 	if short {
-		want = pinnedFrontendShort
+		want, wantPrinted = pinnedFrontendShort, pinnedPrintedShort
 	}
 	groups, inputs := frontendGroups(short)
 	for _, g := range groups {
 		g := g
 		t.Run(g, func(t *testing.T) {
 			t.Parallel()
-			chain := sha256.New()
+			chain, printedChain := sha256.New(), sha256.New()
 			for _, in := range inputs[g] {
+				h := sha256.New()
+				printed := hashFrontend(h, in.name, in.src)
 				io.WriteString(chain, in.name+"\x00")
-				chain.Write(sum(func(h hash.Hash) { hashFrontend(h, in.name, in.src) }))
+				chain.Write(h.Sum(nil))
+				io.WriteString(printedChain, in.name+"\x00")
+				ph := sha256.Sum256([]byte(printed))
+				printedChain.Write(ph[:])
+				if printed == "" {
+					continue
+				}
+				if prog, err := minic.ParseProgram(printed); err != nil {
+					t.Errorf("%s: printed program does not reparse: %v", in.name, err)
+				} else if minic.PrintProgram(prog) != printed {
+					t.Errorf("%s: printed program does not reprint to itself", in.name)
+				}
 			}
 			if got := hex.EncodeToString(chain.Sum(nil)); got != want[g] {
 				t.Errorf("%d %s inputs hash to %s, pinned %s", len(inputs[g]), g, got, want[g])
 			}
+			if got := hex.EncodeToString(printedChain.Sum(nil)); got != wantPrinted[g] {
+				t.Errorf("%d %s inputs print to %s, pinned %s", len(inputs[g]), g, got, wantPrinted[g])
+			}
 		})
 	}
-}
-
-func sum(write func(h hash.Hash)) []byte {
-	h := sha256.New()
-	write(h)
-	return h.Sum(nil)
 }
 
 // Adversarial sources for the frontend: n sequential ifs, n locals,

@@ -9,11 +9,11 @@ import (
 // arbitrary input: they must never panic, and any accepted program
 // must survive the printer round trip (print, reparse, reprint —
 // byte-identical) and either lower cleanly or fail with an error, not
-// a panic. Nesting is bounded, so no input can exhaust the stack. The
-// printer parenthesizes every binary node, so a chain of more than
-// maxNesting operators reprints deeper than the bound; such a reparse
-// must fail with the nesting error. Seeds live in
-// testdata/fuzz/FuzzParseProgram alongside the f.Add literals.
+// a panic. Nesting is bounded, so no input can exhaust the stack, and
+// the printer nests no deeper than its input, so every accepted
+// program reprints within the bound; the seeds at the bound and the
+// long chains check that. Seeds live in testdata/fuzz/FuzzParseProgram
+// alongside the f.Add literals.
 func FuzzParseProgram(f *testing.F) {
 	f.Add("int main(void) { return 0; }")
 	f.Add(`int g[4];
@@ -32,6 +32,13 @@ int main(void) {
 	f.Add("int x = ")
 	f.Add("int main(void) { 0x1g; }")
 	f.Add("/* unterminated")
+	f.Add("int main(void) { return " + strings.Repeat("- ", maxNesting-2) + "1; }")
+	f.Add("int main(void) { int x; " + strings.Repeat("x = ", maxNesting-2) + "0; return x; }")
+	f.Add("int main(void) { int x = 1; return x" + strings.Repeat(" - x", maxNesting) + "; }")
+	f.Add("int main(void) { int x = 1; x" + strings.Repeat(" - x", maxNesting) + "; return x; }")
+	f.Add("int main(void) { " + strings.Repeat("if (1) ", maxNesting-2) + "return 0; }")
+	f.Add("int main(void) { int x = 1; " + strings.Repeat("if (x == 2) x = 3; else ", maxNesting) + "x = 4; return x; }")
+	f.Add("int main(void) { return 18446744073709551615 + -9223372036854775808; }")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := ParseProgram(src)
 		if err != nil {
@@ -39,10 +46,6 @@ int main(void) {
 		}
 		out1 := PrintProgram(prog)
 		prog2, err := ParseProgram(out1)
-		if err != nil && strings.Contains(err.Error(), "nesting deeper than") &&
-			strings.Count(out1, "(") > maxNesting {
-			return
-		}
 		if err != nil {
 			t.Fatalf("printed source does not reparse: %v\ninput:\n%q\nprinted:\n%s", err, src, out1)
 		}

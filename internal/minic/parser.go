@@ -8,7 +8,9 @@ import (
 // expressions, call arguments, assignments and unary operators may
 // nest. The parser and lowering recurse once per level, and a Go stack
 // overflow cannot be recovered, so deeper input is a parse error
-// instead. Real programs nest a few levels deep.
+// instead. A braced body costs no level beyond the statement that owns
+// it, and the arms of an else-if chain share one level: the parser
+// loops over them. Real programs nest a few levels deep.
 const maxNesting = 1000
 
 // ParseProgram parses a mini-C translation unit into an AST. The
@@ -279,24 +281,16 @@ func (p *cparser) stmt() Stmt {
 	case t.Lit == "{" && t.Kind == TokPunct:
 		return p.block()
 	case t.Kind == TokKeyword && t.Lit == "if":
-		p.advance()
-		p.expect("(")
-		cond := p.expr()
-		p.expect(")")
-		s := &IfStmt{Cond: cond, Then: p.stmt()}
-		if p.accept("else") {
-			s.Else = p.stmt()
-		}
-		return s
+		return p.ifStmt()
 	case t.Kind == TokKeyword && t.Lit == "while":
 		p.advance()
 		p.expect("(")
 		cond := p.expr()
 		p.expect(")")
-		return &WhileStmt{Cond: cond, Body: p.stmt()}
+		return &WhileStmt{Cond: cond, Body: p.body()}
 	case t.Kind == TokKeyword && t.Lit == "do":
 		p.advance()
-		body := p.stmt()
+		body := p.body()
 		p.expect("while")
 		p.expect("(")
 		cond := p.expr()
@@ -323,7 +317,7 @@ func (p *cparser) stmt() Stmt {
 			s.Post = p.expr()
 			p.expect(")")
 		}
-		s.Body = p.stmt()
+		s.Body = p.body()
 		return s
 	case t.Kind == TokKeyword && t.Lit == "return":
 		p.advance()
@@ -352,6 +346,39 @@ func (p *cparser) stmt() Stmt {
 		x := p.expr()
 		p.expect(";")
 		return &ExprStmt{X: x}
+	}
+}
+
+// body parses the body of an if, else, loop or do. The statement that
+// owns it was counted, so a braced body costs no level of its own:
+// "if (c) { s }" nests as deep as "if (c) s".
+func (p *cparser) body() Stmt {
+	if p.isPunct("{") {
+		return p.block()
+	}
+	return p.stmt()
+}
+
+// ifStmt parses an if statement and its else-if arms in a loop: the
+// arms of a chain are siblings in the source, so they share the first
+// if's nesting level, however many there are.
+func (p *cparser) ifStmt() *IfStmt {
+	first := &IfStmt{}
+	for s := first; ; {
+		p.advance()
+		p.expect("(")
+		s.Cond = p.expr()
+		p.expect(")")
+		s.Then = p.body()
+		if !p.accept("else") {
+			return first
+		}
+		if p.tok.Kind != TokKeyword || p.tok.Lit != "if" {
+			s.Else = p.body()
+			return first
+		}
+		next := &IfStmt{}
+		s.Else, s = next, next
 	}
 }
 
@@ -388,12 +415,9 @@ func (p *cparser) assignExpr() Expr {
 
 // binLevel is the binary operator precedence table: || < && < | < ^ <
 // & < ==,!= < relational < shifts < additive < multiplicative, levels
-// 1 to 10. It returns 0 for a token that is no binary operator.
-func binLevel(t Token) int {
-	if t.Kind != TokPunct {
-		return 0
-	}
-	switch t.Lit {
+// 1 to 10. It returns 0 for a spelling that is no binary operator.
+func binLevel(op string) int {
+	switch op {
 	case "||":
 		return 1
 	case "&&":
@@ -425,7 +449,10 @@ func (p *cparser) binExpr(min int) Expr {
 	l := p.unaryExpr()
 	for {
 		t := p.tok
-		level := binLevel(t)
+		if t.Kind != TokPunct {
+			return l
+		}
+		level := binLevel(t.Lit)
 		if level < min {
 			return l
 		}

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -31,8 +32,9 @@ func TestNestingBoundParse(t *testing.T) {
 
 // TestNestingAtBound: a program exactly at the bound compiles and one
 // level deeper fails. The function body's statement and the return
-// expression are two levels, so 998 parentheses or unary operators
-// reach the bound; nested blocks count one level each.
+// expression are two levels, so 998 parentheses, unary operators,
+// chained assignments or nested ifs (braced or not) reach the bound;
+// nested blocks count one level each.
 func TestNestingAtBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -48,6 +50,15 @@ func TestNestingAtBound(t *testing.T) {
 		{"braces", func(n int) string {
 			return "int main(void){" + strings.Repeat("{", n) + strings.Repeat("}", n) + "return 0;}"
 		}, maxNesting},
+		{"ifs", func(n int) string {
+			return "int main(void){" + strings.Repeat("if(1)", n) + "return 0;}"
+		}, maxNesting - 2},
+		{"braced-ifs", func(n int) string {
+			return "int main(void){" + strings.Repeat("if(1){", n) + "return 0;" + strings.Repeat("}", n) + "return 1;}"
+		}, maxNesting - 2},
+		{"assign", func(n int) string {
+			return "int main(void){int x; " + strings.Repeat("x=", n) + "0; return x;}"
+		}, maxNesting - 2},
 	} {
 		if _, err := Compile("at", tc.src(tc.at)); err != nil {
 			t.Errorf("%s at the bound: %v", tc.name, err)
@@ -58,18 +69,24 @@ func TestNestingAtBound(t *testing.T) {
 	}
 }
 
-// TestLongChainCompiles: a left-associative chain is built in a loop,
-// so its length is not bounded by the nesting limit.
+// TestLongChainCompiles: a left-associative chain and an else-if chain
+// are built in a loop, so their length is not bounded by the nesting
+// limit.
 func TestLongChainCompiles(t *testing.T) {
-	src := "int main(void){int x = 1; return x" + strings.Repeat("-x", 50000) + ";}"
-	if _, err := Compile("chain", src); err != nil {
-		t.Fatal(err)
+	for name, src := range map[string]string{
+		"sub":    "int main(void){int x = 1; return x" + strings.Repeat("-x", 50000) + ";}",
+		"elseif": "int main(void){int x = 1; " + strings.Repeat("if(x==2)x=3;else ", 5000) + "x=4; return x;}",
+	} {
+		if _, err := Compile(name, src); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
 // TestPrecedence: each binary level binds tighter than the one before
 // it and associates to the left; assignment associates to the right;
-// unary operators bind tighter than any binary one.
+// unary operators bind tighter than any binary one. Each source must
+// parse to the same tree as its fully parenthesized form.
 func TestPrecedence(t *testing.T) {
 	for src, want := range map[string]string{
 		"a || b && c | d ^ e & f == g < h << i + j * k": "(a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k))))))))))",
@@ -85,14 +102,17 @@ func TestPrecedence(t *testing.T) {
 		"a[b + c][d] - f(e, g)": "(a[(b + c)][d] - f(e, g))",
 		"+a - (b - c)":          "(a - (b - c))",
 	} {
-		prog, err := ParseProgram("int main(void){ " + src + "; return 0; }")
+		got, err := ParseProgram("int main(void){ " + src + "; return 0; }")
 		if err != nil {
 			t.Errorf("%s: %v", src, err)
 			continue
 		}
-		got := ExprString(prog.Funcs[0].Body.Stmts[0].(*ExprStmt).X)
-		if got != want {
-			t.Errorf("%s: parsed as %s, want %s", src, got, want)
+		exp, err := ParseProgram("int main(void){ " + want + "; return 0; }")
+		if err != nil {
+			t.Fatalf("%s: %v", want, err)
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Errorf("%s: parsed as %s, want %s", src, PrintProgram(got), want)
 		}
 	}
 }

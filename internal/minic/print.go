@@ -2,14 +2,15 @@
 // ParseProgram. The delta-debugging reducer (internal/reduce) works by
 // deleting AST statements and reprinting, so the printer must be a
 // right inverse of the parser: print(parse(src)) reparses to the same
-// AST. Expressions are printed fully parenthesized — precedence was
-// already resolved by the parser, and redundant parens are harmless to
-// every consumer (the reducer's outputs are regression-corpus entries,
-// not style exemplars).
+// AST. Expressions carry only the parentheses their tree needs, and
+// bodies are braced (a braced body costs the parser no nesting level),
+// so the printed program nests no deeper than any source that parses
+// to it and stays within the parser's nesting bound.
 package minic
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -52,7 +53,7 @@ func declString(d *VarDecl) string {
 		s += fmt.Sprintf("[%d]", d.ArrayLen)
 	}
 	if d.Init != nil {
-		s += " = " + ExprString(d.Init)
+		s += " = " + exprString(d.Init, precAssign)
 	}
 	return s
 }
@@ -97,13 +98,21 @@ func (pr *printer) printStmt(s Stmt) {
 		}
 		pr.line("%s;", strings.Join(ds, ", "))
 	case *ExprStmt:
-		pr.line("%s;", stmtExprString(s.X))
+		pr.line("%s;", ExprString(s.X))
 	case *IfStmt:
 		pr.line("if (%s)", ExprString(s.Cond))
 		pr.printBody(s.Then)
-		if s.Else != nil {
-			pr.line("else")
-			pr.printBody(s.Else)
+		// An else-if chain prints flat, as the parser reads it.
+		for s.Else != nil {
+			elif, ok := s.Else.(*IfStmt)
+			if !ok {
+				pr.line("else")
+				pr.printBody(s.Else)
+				break
+			}
+			pr.line("else if (%s)", ExprString(elif.Cond))
+			pr.printBody(elif.Then)
+			s = elif
 		}
 	case *WhileStmt:
 		if s.DoWhile {
@@ -128,13 +137,13 @@ func (pr *printer) printStmt(s Stmt) {
 			}
 			init = strings.Join(ds, ", ")
 		case *ExprStmt:
-			init = stmtExprString(is.X)
+			init = ExprString(is.X)
 		}
 		if s.Cond != nil {
 			cond = ExprString(s.Cond)
 		}
 		if s.Post != nil {
-			post = stmtExprString(s.Post)
+			post = ExprString(s.Post)
 		}
 		pr.line("for (%s; %s; %s)", init, cond, post)
 		pr.printBody(s.Body)
@@ -167,61 +176,116 @@ func (pr *printer) printBody(s Stmt) {
 	pr.line("}")
 }
 
-// stmtExprString prints an expression in statement position, where the
-// outermost parens are unnecessary.
-func stmtExprString(e Expr) string {
-	s := ExprString(e)
-	if strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")") {
-		// Only strip if these parens match each other.
-		depth := 0
-		for i, r := range s {
-			switch r {
-			case '(':
-				depth++
-			case ')':
-				depth--
-				if depth == 0 && i != len(s)-1 {
-					return s
-				}
-			}
-		}
-		return s[1 : len(s)-1]
-	}
-	return s
-}
+// Expression precedence, loosest first: the comma, assignment, the
+// binary levels of binLevel one up, unary operators, then postfix
+// operators and primaries.
+const (
+	precComma   = 0
+	precAssign  = 1
+	precUnary   = 12
+	precPostfix = 13
+)
 
-// ExprString renders an expression, fully parenthesized.
-func ExprString(e Expr) string {
+func precOf(e Expr) int {
 	switch e := e.(type) {
-	case *IntLit:
-		if e.Val < 0 {
-			return fmt.Sprintf("(-%d)", -e.Val)
-		}
-		return fmt.Sprintf("%d", e.Val)
-	case *Ident:
-		return e.Name
 	case *BinExpr:
 		if e.Op == "," {
-			return fmt.Sprintf("(%s, %s)", ExprString(e.L), ExprString(e.R))
+			return precComma
 		}
-		return fmt.Sprintf("(%s %s %s)", ExprString(e.L), e.Op, ExprString(e.R))
-	case *UnExpr:
-		return fmt.Sprintf("(%s%s)", e.Op, ExprString(e.X))
+		return 1 + binLevel(e.Op)
 	case *AssignExpr:
-		return fmt.Sprintf("(%s %s %s)", ExprString(e.L), e.Op, ExprString(e.R))
+		return precAssign
+	case *UnExpr:
+		return precUnary
+	case *IncDecExpr:
+		if !e.Post {
+			return precUnary
+		}
+	}
+	return precPostfix
+}
+
+// ExprString renders an expression with the parentheses its tree
+// needs and no others.
+func ExprString(e Expr) string {
+	return exprString(e, precComma)
+}
+
+// exprString renders e where the grammar admits only expressions of
+// precedence min or tighter.
+func exprString(e Expr, min int) string {
+	var sb strings.Builder
+	writeExpr(&sb, e, min)
+	return sb.String()
+}
+
+// writeExpr writes e where the grammar admits only expressions of
+// precedence min or tighter, parenthesizing it when it is looser.
+// Operators of one binary level associate to the left and assignment
+// to the right, so a chain of either prints flat.
+func writeExpr(sb *strings.Builder, e Expr, min int) {
+	prec := precOf(e)
+	if prec < min {
+		sb.WriteByte('(')
+	}
+	switch e := e.(type) {
+	case *IntLit:
+		// Unsigned: a literal that wrapped negative reparses to the
+		// same value.
+		sb.WriteString(strconv.FormatUint(uint64(e.Val), 10))
+	case *Ident:
+		sb.WriteString(e.Name)
+	case *BinExpr:
+		writeExpr(sb, e.L, prec)
+		if e.Op == "," {
+			sb.WriteString(", ")
+		} else {
+			sb.WriteString(" " + e.Op + " ")
+		}
+		writeExpr(sb, e.R, prec+1)
+	case *AssignExpr:
+		writeExpr(sb, e.L, precAssign+1)
+		sb.WriteString(" " + e.Op + " ")
+		writeExpr(sb, e.R, precAssign)
+	case *UnExpr:
+		writePrefix(sb, e.Op, e.X)
 	case *IncDecExpr:
 		if e.Post {
-			return fmt.Sprintf("(%s%s)", ExprString(e.X), e.Op)
+			writeExpr(sb, e.X, precPostfix)
+			sb.WriteString(e.Op)
+		} else {
+			writePrefix(sb, e.Op, e.X)
 		}
-		return fmt.Sprintf("(%s%s)", e.Op, ExprString(e.X))
 	case *IndexExpr:
-		return fmt.Sprintf("%s[%s]", ExprString(e.X), ExprString(e.Idx))
+		writeExpr(sb, e.X, precPostfix)
+		sb.WriteByte('[')
+		writeExpr(sb, e.Idx, precComma)
+		sb.WriteByte(']')
 	case *CallExpr:
-		args := make([]string, len(e.Args))
+		sb.WriteString(e.Name)
+		sb.WriteByte('(')
 		for i, a := range e.Args {
-			args[i] = ExprString(a)
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, a, precAssign)
 		}
-		return fmt.Sprintf("%s(%s)", e.Name, strings.Join(args, ", "))
+		sb.WriteByte(')')
+	default:
+		sb.WriteString("/*?*/0")
 	}
-	return "/*?*/0"
+	if prec < min {
+		sb.WriteByte(')')
+	}
+}
+
+// writePrefix writes a prefix operator and its operand, with a space
+// when the operand starts with an operator too, so that "- -x" does
+// not lex as "--x".
+func writePrefix(sb *strings.Builder, op string, x Expr) {
+	sb.WriteString(op)
+	if precOf(x) == precUnary {
+		sb.WriteByte(' ')
+	}
+	writeExpr(sb, x, precUnary)
 }

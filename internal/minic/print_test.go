@@ -86,6 +86,69 @@ func TestPrintRoundTripCsmith(t *testing.T) {
 	}
 }
 
+// TestPrintParens: the printer writes the parentheses a tree needs and
+// no others, spaces prefix operators that would otherwise merge into
+// one token, and prints literals that wrapped negative unsigned.
+func TestPrintParens(t *testing.T) {
+	for src, want := range map[string]string{
+		"((a - b) - c)":            "a - b - c",
+		"a - (b - c)":              "a - (b - c)",
+		"(a * b) + c":              "a * b + c",
+		"a * (b + c)":              "a * (b + c)",
+		"(a = (b = c))":            "a = b = c",
+		"(a = b) = c":              "(a = b) = c",
+		"a || b = c":               "a || b = c",
+		"-(-(-x))":                 "- - -x",
+		"&(*p)":                    "& *p",
+		"-(--x)":                   "- --x",
+		"*(p++)":                   "*p++",
+		"(*p)++":                   "(*p)++",
+		"!(a < b)":                 "!(a < b)",
+		"a / *p":                   "a / *p",
+		"a - (-1)":                 "a - -1",
+		"(a[(b, c)])[d]":           "a[b, c][d]",
+		"f((a, b), (c = d))":       "f((a, b), c = d)",
+		"((1, 2), 3)":              "1, 2, 3",
+		"1, (2, 3)":                "1, (2, 3)",
+		"x = (1, 2)":               "x = (1, 2)",
+		"18446744073709551615 + 1": "18446744073709551615 + 1",
+		"-9223372036854775808":     "-9223372036854775808",
+	} {
+		prog, err := ParseProgram("int main(void){ " + src + "; return 0; }")
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		if got := ExprString(prog.Funcs[0].Body.Stmts[0].(*ExprStmt).X); got != want {
+			t.Errorf("%s: printed %s, want %s", src, got, want)
+		}
+	}
+	prog, err := ParseProgram("int main(void){ int x = (1, 2); if (x) x = 1; else if (x) x = 2; else x = 3; return x; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `int main(void) {
+  int x = (1, 2);
+  if (x)
+  {
+    x = 1;
+  }
+  else if (x)
+  {
+    x = 2;
+  }
+  else
+  {
+    x = 3;
+  }
+  return x;
+}
+`
+	if got := PrintProgram(prog); got != want {
+		t.Errorf("printed\n%s\nwant\n%s", got, want)
+	}
+}
+
 func roundTrip(t *testing.T, name, src string) {
 	t.Helper()
 	p1, err := ParseProgram(src)

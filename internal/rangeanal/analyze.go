@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/budget"
+	"repro/internal/csr"
 	"repro/internal/ir"
 )
 
@@ -163,29 +164,6 @@ type solver struct {
 	deps   []int32
 }
 
-// pair is a (key, value) pair grouped by group.
-type pair struct{ key, val int32 }
-
-// group buckets pairs by key, keeping each key's values in insertion
-// order: the values of key k are vals[off[k]:off[k+1]].
-func group(n int, pairs []pair) (off, vals []int32) {
-	off = make([]int32, n+1)
-	for _, p := range pairs {
-		off[p.key+1]++
-	}
-	for k := 0; k < n; k++ {
-		off[k+1] += off[k]
-	}
-	vals = make([]int32, len(pairs))
-	for _, p := range pairs {
-		vals[off[p.key]] = p.val
-		off[p.key]++
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-	return off, vals
-}
-
 // fnInfo locates one analyzed function's nodes, returns and calls.
 type fnInfo struct {
 	f *ir.Func
@@ -217,7 +195,7 @@ type builder struct {
 	top   int32
 	// edges are the dependences as (source, dependent) pairs, in the
 	// order the schedule requires.
-	edges []pair
+	edges []csr.Pair[int32]
 }
 
 // slot resolves an operand: a node's id, a constant's read-only slot,
@@ -248,7 +226,7 @@ func (b *builder) fixedSlot(iv Interval) int32 {
 // evaluated, so both are dropped.
 func (b *builder) dep(from, to int32) {
 	if from < b.n && to >= 0 {
-		b.edges = append(b.edges, pair{from, to})
+		b.edges = append(b.edges, csr.Pair[int32]{Key: from, Val: to})
 	}
 }
 
@@ -336,7 +314,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 	for i := range s.env {
 		s.env[i] = Bottom
 	}
-	b := &builder{s: s, ids: ids, n: id, fns: fns, fnIdx: fnIdx, fixed: map[Interval]int32{}, edges: make([]pair, 0, operands)}
+	b := &builder{s: s, ids: ids, n: id, fns: fns, fnIdx: fnIdx, fixed: map[Interval]int32{}, edges: make([]csr.Pair[int32], 0, operands)}
 	b.top = b.fixedSlot(Top)
 	for _, v := range retVals {
 		s.ops = append(s.ops, b.slot(v))
@@ -359,7 +337,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 	callers := make([]int32, len(fns))
 	callees := make([]int32, 0, len(sites))
 	calleeOff := make([]int32, len(fns)+1)
-	var args []pair // (parameter index, argument slot)
+	var args []csr.Pair[int32] // (parameter index, argument slot)
 	for i := range fns {
 		for _, st := range sites[fns[i].siteLo:fns[i].siteHi] {
 			ci, ok := fnIdx[st.in.Callee]
@@ -378,7 +356,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 					continue
 				}
 				a := b.slot(arg)
-				args = append(args, pair{c.paramBase + p, a})
+				args = append(args, csr.Pair[int32]{Key: c.paramBase + p, Val: a})
 				b.dep(a, c.first+p)
 				p++
 			}
@@ -389,7 +367,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 		calleeOff[i+1] = int32(len(callees))
 	}
 	reached := reachedFromEntries(callers, callees, calleeOff)
-	argOff, argSlots := group(int(params), args)
+	argOff, argSlots := csr.Group(int(params), args)
 	base := int32(len(s.ops))
 	s.ops = append(s.ops, argSlots...)
 	for i, fi := range fns {
@@ -402,7 +380,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 			s.nodes[fi.first+k] = nd
 		}
 	}
-	s.depOff, s.deps = group(int(id), b.edges)
+	s.depOff, s.deps = csr.Group(int(id), b.edges)
 	return s, ids
 }
 

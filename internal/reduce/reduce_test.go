@@ -222,6 +222,25 @@ func TestSourceReduceCsmith(t *testing.T) {
 	}
 }
 
+// TestSourceReduceLongExpressions: a witness whose store holds an
+// operator chain longer than the parser's nesting bound and a unary
+// chain at the bound still reduces, because every printed candidate
+// reparses.
+func TestSourceReduceLongExpressions(t *testing.T) {
+	src := strings.Replace(oobKernel, "a[7] = sum;",
+		"a[7] = sum"+strings.Repeat(" - i", 1000)+" + "+strings.Repeat("- ", 997)+"1;", 1)
+	if !trapsOOB(src) {
+		t.Fatal("the long-expression kernel does not trap")
+	}
+	res, err := Source(src, trapsOOB, budget.Spec{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trapsOOB(res.Source) || res.StmtsAfter >= res.StmtsBefore {
+		t.Fatalf("no reduction that keeps the trap: %d -> %d units", res.StmtsBefore, res.StmtsAfter)
+	}
+}
+
 func TestSourceErrors(t *testing.T) {
 	if _, err := Source("int main(void) { return 0; }", trapsOOB, budget.Spec{}); err == nil {
 		t.Fatal("expected error when predicate fails on input")

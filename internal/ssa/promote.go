@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/cfg"
+	"repro/internal/csr"
 	"repro/internal/ir"
 )
 
@@ -66,9 +67,8 @@ type promoter struct {
 }
 
 type placedPhi struct {
-	phi   *ir.Instr
-	a     int32
-	block int32
+	phi *ir.Instr
+	a   int32
 }
 
 // newPromoter numbers the promotable allocas of f, or returns nil when
@@ -141,8 +141,7 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 	nb := len(f.Blocks)
 
 	// The defining blocks of every alloca, in block order.
-	type def struct{ a, block int32 }
-	var pairs []def
+	var pairs []csr.Pair[int32]
 	last := make([]int32, len(pr.allocas))
 	for bi, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -151,21 +150,17 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 			}
 			if a := pr.allocaOf(in.Args[1]); a >= 0 && last[a] != int32(bi)+1 {
 				last[a] = int32(bi) + 1
-				pairs = append(pairs, def{a, int32(bi)})
+				pairs = append(pairs, csr.Pair[int32]{Key: a, Val: int32(bi)})
 			}
 		}
 	}
-	defOff, at := group(len(pr.allocas), len(pairs), func(i int) int32 { return pairs[i].a })
-	defs := make([]int32, len(pairs))
-	for i, p := range pairs {
-		defs[at[i]] = p.block
-	}
+	defOff, defs := csr.Group(len(pr.allocas), pairs)
 
 	// Worklist placement; stamps are alloca number + 1.
 	inWork := make([]int32, nb)
 	placedAt := make([]int32, nb)
 	var work []int32
-	var placed []placedPhi
+	var placed []csr.Pair[placedPhi]
 	for ai, a := range pr.allocas {
 		stamp := int32(ai) + 1
 		prefix := ""
@@ -187,7 +182,7 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 				}
 				phi := &ir.Instr{Op: ir.OpPhi, Typ: a.AllocTyp}
 				phi.SetName(f.FreshName(prefix))
-				placed = append(placed, placedPhi{phi: phi, a: int32(ai), block: int32(fb.Index)})
+				placed = append(placed, csr.Pair[placedPhi]{Key: int32(fb.Index), Val: placedPhi{phi, int32(ai)}})
 				// A phi is a new definition; propagate.
 				if inWork[fb.Index] != stamp {
 					inWork[fb.Index] = stamp
@@ -198,11 +193,7 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 	}
 
 	// Group the placed phis by block, keeping placement order.
-	pr.placedOff, at = group(nb, len(placed), func(i int) int32 { return placed[i].block })
-	pr.placed = make([]placedPhi, len(placed))
-	for i, p := range placed {
-		pr.placed[at[i]] = p
-	}
+	pr.placedOff, pr.placed = csr.Group(nb, placed)
 
 	for bi, b := range f.Blocks {
 		ps := pr.placed[pr.placedOff[bi]:pr.placedOff[bi+1]]
@@ -216,27 +207,6 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 		}
 		b.Instrs = append(instrs, b.Instrs...)
 	}
-}
-
-// group orders m items by a key in [0, n) with a stable counting sort:
-// the items with key k go to positions off[k] to off[k+1]-1, item i to
-// at[i].
-func group(n, m int, key func(i int) int32) (off, at []int32) {
-	off = make([]int32, n+1)
-	for i := 0; i < m; i++ {
-		off[key(i)+1]++
-	}
-	for k := 0; k < n; k++ {
-		off[k+1] += off[k]
-	}
-	next := append([]int32(nil), off[:n]...)
-	at = make([]int32, m)
-	for i := 0; i < m; i++ {
-		k := key(i)
-		at[i] = next[k]
-		next[k]++
-	}
-	return off, at
 }
 
 // phisOf returns the phis placed in block b, in placement order.
