@@ -167,9 +167,9 @@ func decompose(v ir.Value, buf []scaledIdx) (decomposed, []scaledIdx) {
 type Pointer struct {
 	Loc Location
 	d   decomposed
-	// kind and obj classify d.base (see underlying).
+	// kind classifies d.base, which is also the object it refers to
+	// (see underlying).
 	kind objKind
-	obj  ir.Value
 	// fn is the function Loc.Ptr belongs to; nil for globals.
 	fn *ir.Func
 }
@@ -178,8 +178,7 @@ type Pointer struct {
 // buf (see decompose).
 func preparePointer(l Location, buf []scaledIdx) (Pointer, []scaledIdx) {
 	d, buf := decompose(l.Ptr, buf)
-	kind, obj := underlying(d.base)
-	return Pointer{Loc: l, d: d, kind: kind, obj: obj, fn: funcOf(l.Ptr)}, buf
+	return Pointer{Loc: l, d: d, kind: underlying(d.base), fn: funcOf(l.Ptr)}, buf
 }
 
 // FuncPreparer is implemented by analyses that answer a function's
@@ -193,6 +192,11 @@ type FuncPreparer interface {
 }
 
 // Prepared is a FuncPreparer's per-pointer facts for one function.
+//
+// Across bases most analyses read only per-pointer facts, so the
+// evaluator asks pairs of pointers with different GEP bases once per
+// pair of key classes (see Workspace): Key, Cross and Exceptions state
+// that split rule. Pair and Cross are symmetric.
 type Prepared interface {
 	// Prepare replaces the facts with those of ptrs, the pointer
 	// values of f. ptrs stays valid until the next Prepare.
@@ -200,6 +204,17 @@ type Prepared interface {
 	// Pair answers the query between ptrs[i] and ptrs[j]; it equals
 	// the analysis's Alias on their locations.
 	Pair(i, j int) Result
+	// Key is ptrs[i]'s cross-base key: for two pointers with different
+	// bases that Exceptions does not list, Pair depends only on their
+	// two keys.
+	Key(i int) int
+	// Cross is that answer for the keys of ptrs[i] and ptrs[j]. It
+	// holds for i == j too: the evaluator asks a class of pointers with
+	// one key about itself through one representative.
+	Cross(i, j int) Result
+	// Exceptions calls yield for pairs of pointers with different
+	// bases whose Pair may differ from Cross.
+	Exceptions(yield func(i, j int))
 }
 
 // funcOf returns the function a value belongs to, or nil for globals
@@ -227,20 +242,22 @@ const (
 	objParam
 )
 
-// underlying returns the base's allocation-site classification.
-func underlying(base ir.Value) (objKind, ir.Value) {
+// underlying returns the base's allocation-site classification. The
+// object is the base itself, so pointers with different bases always
+// refer to different objects.
+func underlying(base ir.Value) objKind {
 	switch b := base.(type) {
 	case *ir.Global:
-		return objGlobal, b
+		return objGlobal
 	case *ir.Param:
-		return objParam, b
+		return objParam
 	case *ir.Instr:
 		switch b.Op {
 		case ir.OpAlloca:
-			return objAlloca, b
+			return objAlloca
 		case ir.OpMalloc:
-			return objMalloc, b
+			return objMalloc
 		}
 	}
-	return objUnknown, base
+	return objUnknown
 }

@@ -45,9 +45,8 @@ func (ba *Basic) computeEscapes(f *ir.Func) {
 	escapes := func(v ir.Value) {
 		var d decomposed
 		d, buf = decompose(v, buf[:0])
-		kind, obj := underlying(d.base)
-		if kind == objAlloca || kind == objMalloc {
-			ba.escaped[obj] = true
+		if kind := underlying(d.base); kind == objAlloca || kind == objMalloc {
+			ba.escaped[d.base] = true
 		}
 	}
 	f.Instrs(func(in *ir.Instr) bool {
@@ -93,7 +92,7 @@ func (ba *Basic) Alias(a, b Location) Result {
 // nonEscapingLocal reports whether p is rooted at an allocation of its
 // own function that never escapes it.
 func (ba *Basic) nonEscapingLocal(p *Pointer) bool {
-	return (p.kind == objAlloca || p.kind == objMalloc) && !ba.escaped[p.obj]
+	return (p.kind == objAlloca || p.kind == objMalloc) && !ba.escaped[p.d.base]
 }
 
 // pair is the basic-aa rule over two prepared pointers; aLocal and
@@ -121,17 +120,23 @@ func (ba *Basic) pair(a, b *Pointer, aLocal, bLocal bool) Result {
 		}
 		return MayAlias
 	}
+	return cross(a.kind, b.kind, aLocal, bLocal)
+}
 
+// cross is the rule for pointers with different bases, and so with
+// different objects (see underlying): it reads only each pointer's
+// object kind and nonEscapingLocal bit.
+func cross(a, b objKind, aLocal, bLocal bool) Result {
 	// Distinct identified objects never overlap.
-	if identified(a.kind) && identified(b.kind) && a.obj != b.obj {
+	if identified(a) && identified(b) {
 		return NoAlias
 	}
 	// A non-escaping local allocation cannot alias anything that
 	// comes from outside the function: parameters, globals, loads.
-	if aLocal && outside(b.kind) {
+	if aLocal && outside(b) {
 		return NoAlias
 	}
-	if bLocal && outside(a.kind) {
+	if bLocal && outside(a) {
 		return NoAlias
 	}
 	return MayAlias
@@ -165,3 +170,21 @@ func (p *basicPrepared) Prepare(_ *ir.Func, ptrs []Pointer) {
 func (p *basicPrepared) Pair(i, j int) Result {
 	return p.ba.pair(&p.ptrs[i], &p.ptrs[j], p.local[i], p.local[j])
 }
+
+// Key is the object kind and the nonEscapingLocal bit. The pointers of
+// one function all have its fn or none, so the Intraprocedural test
+// never separates them.
+func (p *basicPrepared) Key(i int) int {
+	k := int(p.ptrs[i].kind) << 1
+	if p.local[i] {
+		k |= 1
+	}
+	return k
+}
+
+func (p *basicPrepared) Cross(i, j int) Result {
+	return cross(p.ptrs[i].kind, p.ptrs[j].kind, p.local[i], p.local[j])
+}
+
+// Exceptions lists nothing: across bases every rule reads the keys.
+func (p *basicPrepared) Exceptions(func(i, j int)) {}

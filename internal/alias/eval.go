@@ -1,10 +1,13 @@
 package alias
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
+	"repro/internal/csr"
 	"repro/internal/ir"
 )
 
@@ -129,6 +132,34 @@ type Workspace struct {
 	prepared []Prepared
 	answers  []Result
 	counts   []*Counts
+
+	// The current function's pointers by base and by class.
+	bases map[ir.Value]int32
+	// base[i] numbers ptrs[i]'s base, and class[i] its class.
+	base, class []int32
+	// keys[i*len(prepared)+l] is leaf l's key of ptrs[i].
+	keys []int
+	// byClass lists the pointers by class, then by index; class c is
+	// byClass[first[c]:first[c+1]].
+	byClass, first []int32
+	// byBase lists the pointers of base b, by class, in
+	// byBase[baseOff[b]:baseOff[b+1]]; tagged feeds its counting sort.
+	byBase, baseOff []int32
+	tagged          []csr.Pair[int32]
+	// exceptions holds the pairs the leaves list, packed as i<<32 | j;
+	// yield is addException, bound once.
+	exceptions []uint64
+	yield      func(i, j int)
+	// asked counts, per pair of classes, the pairs already asked one
+	// by one.
+	asked []classPair
+}
+
+// classPair is a number of pointer pairs between classes a <= b,
+// packed as a<<32 | b.
+type classPair struct {
+	ab    uint64
+	pairs int
 }
 
 // NewWorkspace returns an empty workspace for p.
@@ -139,26 +170,34 @@ func (p *Plan) NewWorkspace() *Workspace {
 		prepared: make([]Prepared, len(p.leaves)),
 		answers:  make([]Result, len(p.leaves)),
 		counts:   make([]*Counts, len(p.rows)),
+		bases:    map[ir.Value]int32{},
 	}
 	for l, an := range p.leaves {
 		if fp, ok := an.(FuncPreparer); ok {
 			w.prepared[l] = fp.NewPrepared()
 		}
 	}
+	w.yield = w.addException
 	return w
 }
 
 // EvaluateFunc adds f's all-pairs queries to rep, which must have a
 // row for every analysis of the plan.
+//
+// Pairs of pointers with different GEP bases are counted by class. Two
+// pointers share a class when every leaf gives them one Key, so every
+// leaf's Cross answers all pairs between two classes alike. A leaf
+// without a preparer keys each pointer apart. The kernel asks the pairs
+// that share a base one by one, then the exceptions the leaves list,
+// and last each pair of classes once on representatives, weighted by
+// the number of its pairs not asked before.
 func (w *Workspace) EvaluateFunc(f *ir.Func, rep *Report) {
-	p := w.plan
 	clear(w.seen)
 	w.vals = appendPointerValues(w.vals[:0], f, w.seen)
-	n := len(w.vals)
-	if n < 2 {
+	if len(w.vals) < 2 {
 		return
 	}
-	w.ptrs, w.idx = w.ptrs[:0], w.idx[:0]
+	w.ptrs, w.idx = slices.Grow(w.ptrs[:0], len(w.vals)), w.idx[:0]
 	for _, v := range w.vals {
 		var ptr Pointer
 		ptr, w.idx = preparePointer(Loc(v), w.idx)
@@ -169,44 +208,194 @@ func (w *Workspace) EvaluateFunc(f *ir.Func, rep *Report) {
 			pr.Prepare(f, w.ptrs)
 		}
 	}
-	for r, an := range p.rows {
+	for r, an := range w.plan.rows {
 		w.counts[r] = rep.PerAnalysis[an.Name()]
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for l := range w.answers {
-				w.answers[l] = unanswered
+	w.classify()
+	w.askSameBase()
+	w.askExceptions()
+	w.askClassPairs()
+}
+
+// classify numbers the bases and the classes of the pointers and
+// groups the pointers by both.
+func (w *Workspace) classify() {
+	n, nl := len(w.ptrs), len(w.prepared)
+	clear(w.bases)
+	w.base, w.byClass = slices.Grow(w.base[:0], n), slices.Grow(w.byClass[:0], n)
+	w.keys = slices.Grow(w.keys[:0], n*nl)
+	for i := range w.ptrs {
+		b, ok := w.bases[w.ptrs[i].d.base]
+		if !ok {
+			b = int32(len(w.bases))
+			w.bases[w.ptrs[i].d.base] = b
+		}
+		w.base = append(w.base, b)
+		for _, pr := range w.prepared {
+			k := i
+			if pr != nil {
+				k = pr.Key(i)
 			}
-			for r, leaves := range p.rowLeaves {
-				// A chain's first definitive leaf answer wins; later
-				// leaves are not asked.
-				res := MayAlias
-				for _, l := range leaves {
-					a := w.answers[l]
-					if a == unanswered {
-						if pr := w.prepared[l]; pr != nil {
-							a = pr.Pair(i, j)
-						} else {
-							a = p.leaves[l].Alias(w.ptrs[i].Loc, w.ptrs[j].Loc)
-						}
-						w.answers[l] = a
-					}
-					if a != MayAlias {
-						res = a
-						break
-					}
-				}
-				c := w.counts[r]
-				c.Queries++
-				switch res {
-				case NoAlias:
-					c.No++
-				case MustAlias:
-					c.Must++
+			w.keys = append(w.keys, k)
+		}
+		w.byClass = append(w.byClass, int32(i))
+	}
+	keysOf := func(i int32) []int { return w.keys[int(i)*nl : int(i+1)*nl] }
+	slices.SortFunc(w.byClass, func(a, b int32) int {
+		if c := slices.Compare(keysOf(a), keysOf(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	w.class = slices.Grow(w.class[:0], n)[:n]
+	w.first = w.first[:0]
+	for k, i := range w.byClass {
+		if k == 0 || !slices.Equal(keysOf(w.byClass[k-1]), keysOf(i)) {
+			w.first = append(w.first, int32(k))
+		}
+		w.class[i] = int32(len(w.first) - 1)
+	}
+	w.first = append(w.first, int32(n))
+	w.tagged = slices.Grow(w.tagged[:0], n)
+	for _, i := range w.byClass {
+		w.tagged = append(w.tagged, csr.Pair[int32]{Key: w.base[i], Val: i})
+	}
+	w.baseOff, w.byBase = csr.GroupInto(w.baseOff, w.byBase, len(w.bases), w.tagged)
+}
+
+// askSameBase asks every pair of pointers that share a base.
+func (w *Workspace) askSameBase() {
+	w.asked = w.asked[:0]
+	for b := 0; b+1 < len(w.baseOff); b++ {
+		g := w.byBase[w.baseOff[b]:w.baseOff[b+1]]
+		for x, i := range g {
+			for _, j := range g[x+1:] {
+				w.tally(int(i), int(j), false, 1)
+			}
+		}
+		// g lists its pointers by class: count its pairs per pair of
+		// classes run by run.
+		for x := 0; x < len(g); {
+			cx, ex := w.run(g, x)
+			nx := ex - x
+			w.addAsked(cx, cx, nx*(nx-1)/2)
+			for y := ex; y < len(g); {
+				cy, ey := w.run(g, y)
+				w.addAsked(cx, cy, nx*(ey-y))
+				y = ey
+			}
+			x = ex
+		}
+	}
+}
+
+// run returns the class of g[x] and the end of its run in g.
+func (w *Workspace) run(g []int32, x int) (int32, int) {
+	c, e := w.class[g[x]], x+1
+	for e < len(g) && w.class[g[e]] == c {
+		e++
+	}
+	return c, e
+}
+
+// addException records a pair that a leaf lists; pairs sharing a base
+// are asked anyway.
+func (w *Workspace) addException(i, j int) {
+	if w.base[i] == w.base[j] {
+		return
+	}
+	w.exceptions = append(w.exceptions, uint64(min(i, j))<<32|uint64(max(i, j)))
+}
+
+// askExceptions asks each pair that some leaf lists once.
+func (w *Workspace) askExceptions() {
+	w.exceptions = w.exceptions[:0]
+	for _, pr := range w.prepared {
+		if pr != nil {
+			pr.Exceptions(w.yield)
+		}
+	}
+	slices.Sort(w.exceptions)
+	w.exceptions = slices.Compact(w.exceptions)
+	for _, e := range w.exceptions {
+		i, j := int(e>>32), int(uint32(e))
+		w.tally(i, j, false, 1)
+		w.addAsked(w.class[i], w.class[j], 1)
+	}
+}
+
+// addAsked records that pairs pointer pairs between classes a and b
+// were asked one by one.
+func (w *Workspace) addAsked(a, b int32, pairs int) {
+	if pairs > 0 {
+		w.asked = append(w.asked, classPair{uint64(min(a, b))<<32 | uint64(max(a, b)), pairs})
+	}
+}
+
+// askClassPairs asks each pair of classes once for the pairs between
+// them that were not asked one by one.
+func (w *Workspace) askClassPairs() {
+	slices.SortFunc(w.asked, func(x, y classPair) int { return cmp.Compare(x.ab, y.ab) })
+	k, nc := 0, len(w.first)-1
+	for a := 0; a < nc; a++ {
+		na := int(w.first[a+1] - w.first[a])
+		for b := a; b < nc; b++ {
+			pairs := na * int(w.first[b+1]-w.first[b])
+			if a == b {
+				pairs = na * (na - 1) / 2
+			}
+			for ab := uint64(a)<<32 | uint64(b); k < len(w.asked) && w.asked[k].ab == ab; k++ {
+				pairs -= w.asked[k].pairs
+			}
+			if pairs > 0 {
+				w.tally(int(w.byClass[w.first[a]]), int(w.byClass[w.first[b]]), true, pairs)
+			}
+		}
+	}
+}
+
+// tally counts weight queries in every row, each answered as the pair
+// of ptrs[i] and ptrs[j] is: by each leaf's Cross when cross is set,
+// else by its Pair, and by Alias for leaves without a preparer. A
+// chain's first definitive leaf answer wins, later leaves are not
+// asked, and no leaf is asked twice.
+func (w *Workspace) tally(i, j int, cross bool, weight int) {
+	if i > j {
+		i, j = j, i
+	}
+	p := w.plan
+	for l := range w.answers {
+		w.answers[l] = unanswered
+	}
+	for r, leaves := range p.rowLeaves {
+		res := MayAlias
+		for _, l := range leaves {
+			a := w.answers[l]
+			if a == unanswered {
+				switch pr := w.prepared[l]; {
+				case pr == nil:
+					a = p.leaves[l].Alias(w.ptrs[i].Loc, w.ptrs[j].Loc)
+				case cross:
+					a = pr.Cross(i, j)
 				default:
-					c.May++
+					a = pr.Pair(i, j)
 				}
+				w.answers[l] = a
 			}
+			if a != MayAlias {
+				res = a
+				break
+			}
+		}
+		c := w.counts[r]
+		c.Queries += weight
+		switch res {
+		case NoAlias:
+			c.No += weight
+		case MustAlias:
+			c.Must += weight
+		default:
+			c.May += weight
 		}
 	}
 }

@@ -85,6 +85,55 @@ func (v *viaAlias) Alias(a, b alias.Location) alias.Result {
 	return v.an.Alias(a, b)
 }
 
+// gepSplit is a test-only prepared leaf whose key splits base groups:
+// a GEP and its base pointer get different keys. It answers NoAlias
+// exactly when one of the two pointers is a GEP result and the other
+// is not, which is unsound but consistent between Alias, Pair and
+// Cross. No analysis of the corpus keys two pointers of one base
+// apart, so only this leaf catches a kernel that takes a class for a
+// property of the base.
+type gepSplit struct{}
+
+func (gepSplit) Name() string { return "GEP-split" }
+
+func (gepSplit) Alias(a, b alias.Location) alias.Result { return splitRule(isGEP(a.Ptr), isGEP(b.Ptr)) }
+
+func (gepSplit) NewPrepared() alias.Prepared { return &gepSplitPrepared{} }
+
+func isGEP(v ir.Value) bool {
+	in, ok := v.(*ir.Instr)
+	return ok && in.Op == ir.OpGEP
+}
+
+func splitRule(a, b bool) alias.Result {
+	if a != b {
+		return alias.NoAlias
+	}
+	return alias.MayAlias
+}
+
+type gepSplitPrepared struct{ gep []bool }
+
+func (p *gepSplitPrepared) Prepare(_ *ir.Func, ptrs []alias.Pointer) {
+	p.gep = p.gep[:0]
+	for _, ptr := range ptrs {
+		p.gep = append(p.gep, isGEP(ptr.Loc.Ptr))
+	}
+}
+
+func (p *gepSplitPrepared) Pair(i, j int) alias.Result { return splitRule(p.gep[i], p.gep[j]) }
+
+func (p *gepSplitPrepared) Key(i int) int {
+	if p.gep[i] {
+		return 1
+	}
+	return 0
+}
+
+func (p *gepSplitPrepared) Cross(i, j int) alias.Result { return p.Pair(i, j) }
+
+func (p *gepSplitPrepared) Exceptions(func(i, j int)) {}
+
 // analyzed is one compiled program with every analysis the row sets
 // draw on.
 type analyzed struct {
@@ -118,10 +167,27 @@ func rowSets(a analyzed) map[string][]alias.Analysis {
 			alias.NewChain(),
 		},
 		"twice": {ba, lt, ba},
+		// ST and CF lead their chains, so their Cross answers decide
+		// class pairs before BA's or LT's are asked.
+		"leaders": {
+			alias.NewChain(a.st, ba), alias.NewChain(a.cf, lt),
+			alias.NewChain(a.st, a.cf, ranged), a.cf,
+		},
+		// Leaves asked through Alias, one class per pointer, beside
+		// prepared ones.
+		"via": {
+			&viaAlias{an: ba}, alias.NewChain(lt, &viaAlias{an: a.st}),
+			alias.NewChain(&viaAlias{an: a.cf}, ba), ba,
+		},
+		// A key that splits base groups, alone and behind BA and LT.
+		"split": {
+			gepSplit{}, alias.NewChain(ba, gepSplit{}),
+			alias.NewChain(lt, gepSplit{}, a.cf), ba,
+		},
 	}
 }
 
-var rowSetOrder = []string{"paper", "ranged", "nested", "twice"}
+var rowSetOrder = []string{"paper", "ranged", "nested", "twice", "leaders", "via", "split"}
 
 func checkKernel(t *testing.T, a analyzed) {
 	t.Helper()
@@ -192,24 +258,57 @@ func TestEvaluateWithoutPreparer(t *testing.T) {
 
 // TestEvaluateMatchesAliasPerPair: each analysis's prepared pair rule
 // answers every pair exactly as its Alias does, so the kernel and
-// direct clients (PDG, optimizations) see one rule.
+// direct clients (PDG, optimizations) see one rule. Its split rule
+// holds too: across bases Cross answers every pair Exceptions does not
+// list as Alias does, it depends on the keys alone, and every listed
+// exception is a pair of pointers with different bases.
 func TestEvaluateMatchesAliasPerPair(t *testing.T) {
 	for _, p := range corpus.Spec()[:6] {
 		a := analyze(p.Name, p.Source)
+		pdgBA := alias.NewBasic(a.m)
+		pdgBA.UnknownSizes, pdgBA.Intraprocedural = true, true
 		ranged := alias.NewSRAAWithRanges(a.prep.LT, a.prep.Ranges)
-		analyses := []alias.FuncPreparer{alias.NewBasic(a.m), alias.NewSRAA(a.prep.LT), ranged, a.st, a.cf}
+		analyses := []alias.FuncPreparer{alias.NewBasic(a.m), pdgBA, alias.NewSRAA(a.prep.LT), ranged, a.st, a.cf}
 		for _, f := range a.m.Funcs {
 			vals := alias.PointerValues(f)
 			ptrs := alias.PreparePointers(vals)
 			for _, an := range analyses {
 				pr := an.NewPrepared()
 				pr.Prepare(f, ptrs)
+				where := func(i, j int) string {
+					return fmt.Sprintf("%s @%s %s(%s, %s)", p.Name, f.FName, an.Name(), vals[i].Ref(), vals[j].Ref())
+				}
+				listed := map[[2]int]bool{}
+				pr.Exceptions(func(i, j int) {
+					if i < 0 || j < 0 || i >= len(ptrs) || j >= len(ptrs) {
+						t.Fatalf("%s @%s %s: exception (%d, %d) out of range", p.Name, f.FName, an.Name(), i, j)
+					}
+					if alias.BaseOf(&ptrs[i]) == alias.BaseOf(&ptrs[j]) {
+						t.Fatalf("%s: listed as an exception, but the pointers share a base", where(i, j))
+					}
+					listed[[2]int{i, j}], listed[[2]int{j, i}] = true, true
+				})
+				// rep[k] is the first pointer with key k.
+				rep := map[int]int{}
 				for i := range vals {
+					if _, ok := rep[pr.Key(i)]; !ok {
+						rep[pr.Key(i)] = i
+					}
+				}
+				for i := range vals {
+					r := rep[pr.Key(i)]
 					for j := range vals {
 						want := an.Alias(alias.Loc(vals[i]), alias.Loc(vals[j]))
 						if got := pr.Pair(i, j); got != want {
-							t.Fatalf("%s @%s %s(%s, %s): Pair = %s, Alias = %s",
-								p.Name, f.FName, an.Name(), vals[i].Ref(), vals[j].Ref(), got, want)
+							t.Fatalf("%s: Pair = %s, Alias = %s", where(i, j), got, want)
+						}
+						cross := pr.Cross(i, j)
+						if alias.BaseOf(&ptrs[i]) != alias.BaseOf(&ptrs[j]) && !listed[[2]int{i, j}] && cross != want {
+							t.Fatalf("%s: Cross = %s, Alias = %s, not listed as an exception", where(i, j), cross, want)
+						}
+						if other := pr.Cross(r, j); other != cross {
+							t.Fatalf("%s: Cross = %s, but %s with the same key %d gets %s",
+								where(i, j), cross, vals[r].Ref(), pr.Key(i), other)
 						}
 					}
 				}
@@ -257,7 +356,11 @@ int f(int *p) {
 }
 
 // BenchmarkEvaluate times the oracle loop against the kernel on the
-// paper's row set over the first corpus programs.
+// paper's row set over the first corpus programs, then the kernel
+// alone on two real loads: the batch-corpus programs with the five
+// rows of a batch pass, and a serve-sized one, sixteen TestSuite
+// programs with the BA, LT and BA+LT rows of one sraad request. The
+// last two report the allocation a harness Evaluate call pays.
 func BenchmarkEvaluate(b *testing.B) {
 	var progs []analyzed
 	var rows [][]alias.Analysis
@@ -279,4 +382,30 @@ func BenchmarkEvaluate(b *testing.B) {
 			}
 		})
 	}
+	load := func(b *testing.B, progs []corpus.Program, rowsOf func(analyzed) []alias.Analysis) {
+		var ms []*ir.Module
+		var rows [][]alias.Analysis
+		for _, p := range progs {
+			a := analyze(p.Name, p.Source)
+			ms, rows = append(ms, a.m), append(rows, rowsOf(a))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, m := range ms {
+				alias.Evaluate(m, rows[k]...)
+			}
+		}
+	}
+	b.Run("batch-corpus", func(b *testing.B) {
+		load(b, append(corpus.Spec(), corpus.TestSuite(100)...), func(a analyzed) []alias.Analysis {
+			return rowSets(a)["paper"]
+		})
+	})
+	b.Run("serve", func(b *testing.B) {
+		load(b, corpus.TestSuite(16), func(a analyzed) []alias.Analysis {
+			ba, lt := alias.NewBasic(a.m), alias.NewSRAA(a.prep.LT)
+			return []alias.Analysis{ba, lt, alias.NewChain(ba, lt)}
+		})
+	})
 }

@@ -12,3 +12,7 @@ func PreparePointers(vals []ir.Value) []Pointer {
 	}
 	return ptrs
 }
+
+// BaseOf returns the GEP base of p, the value the evaluator groups
+// pointers by.
+func BaseOf(p *Pointer) ir.Value { return p.d.base }

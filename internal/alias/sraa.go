@@ -1,6 +1,8 @@
 package alias
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/rangeanal"
@@ -110,6 +112,8 @@ type sraaPrepared struct {
 	lt    core.FuncLT
 	ptrs  []Pointer
 	facts []ltFact
+	// at maps an LT index to the pointer it indexes, or -1.
+	at []int32
 }
 
 func (p *sraaPrepared) Prepare(f *ir.Func, ptrs []Pointer) {
@@ -121,6 +125,38 @@ func (p *sraaPrepared) Prepare(f *ir.Func, ptrs []Pointer) {
 
 func (p *sraaPrepared) Pair(i, j int) Result {
 	return p.s.pair(p.lt, &p.ptrs[i], &p.ptrs[j], &p.facts[i], &p.facts[j])
+}
+
+// Key is the same for every pointer: across bases only criterion 1
+// applies, and it holds for the few pairs Exceptions lists.
+func (p *sraaPrepared) Key(int) int { return 0 }
+
+func (p *sraaPrepared) Cross(int, int) Result { return MayAlias }
+
+// Exceptions lists the criterion-1 pairs with different bases, read
+// from the LT set of each pointer.
+func (p *sraaPrepared) Exceptions(yield func(i, j int)) {
+	p.at = slices.Grow(p.at[:0], p.lt.Len())[:p.lt.Len()]
+	for x := range p.at {
+		p.at[x] = -1
+	}
+	for i := range p.facts {
+		if x := p.facts[i].ptr; x >= 0 {
+			p.at[x] = int32(i)
+		}
+	}
+	for j := range p.facts {
+		y := p.facts[j].ptr
+		if y < 0 {
+			continue
+		}
+		p.lt.ForEachLess(y, func(x int) bool {
+			if i := p.at[x]; i >= 0 && p.ptrs[i].d.base != p.ptrs[j].d.base {
+				yield(int(i), j)
+			}
+			return true
+		})
+	}
 }
 
 // offsetInterval computes the byte-offset interval of a decomposed

@@ -49,10 +49,13 @@ const unknownObj = 0
 // Analysis holds the solved points-to sets in resolved form: one
 // hash-consed sparse bitmap of object ids per pointer value.
 type Analysis struct {
-	// pts maps each pointer value to the set of object ids it may
-	// point to. Sets are interned: equal sets share one instance and
+	// pts maps each pointer value with a non-empty points-to set to
+	// the index of that set in sets.
+	pts map[ir.Value]int32
+	// sets are the distinct points-to sets, sets of object ids. They
+	// are interned: equal sets share one index and one instance, and
 	// must not be mutated.
-	pts map[ir.Value]*bitvec.Set
+	sets []*bitvec.Set
 	// objOf maps allocation sites to their object id.
 	objOf map[ir.Value]int
 	// objs[i] is the allocation site of object i (nil for unknown).
@@ -91,7 +94,7 @@ type Opts struct {
 // harness substitutes it when the whole stage fails.
 func Unanalyzed(cause error) *Analysis {
 	return &Analysis{
-		pts:      map[ir.Value]*bitvec.Set{},
+		pts:      map[ir.Value]int32{},
 		objOf:    map[ir.Value]int{},
 		objs:     []ir.Value{nil},
 		degraded: cause,
@@ -106,7 +109,7 @@ func Analyze(m *ir.Module) *Analysis {
 // AnalyzeCtx is Analyze under a context, budget and skip set.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
 	a := &Analysis{
-		pts:   map[ir.Value]*bitvec.Set{},
+		pts:   map[ir.Value]int32{},
 		objOf: map[ir.Value]int{},
 		objs:  []ir.Value{nil}, // unknown
 	}
@@ -674,26 +677,25 @@ func (s *solver) collapseCycles() {
 }
 
 // resolve snapshots the solved graph into Analysis.pts, hash-consing
-// the final sets so equal points-to sets share one allocation.
+// the final sets so equal points-to sets share one index.
 func (s *solver) resolve() {
 	in := bitvec.NewInterner()
-	empty := in.Intern(&bitvec.Set{})
-	cache := map[int32]*bitvec.Set{}
+	cache := map[int32]int32{} // representative → set index, -1 when empty
 	for _, v := range s.vals {
 		rep := s.find(s.nodeOf[v])
 		set, ok := cache[rep]
 		if !ok {
-			if s.pts[rep].Empty() {
-				set = empty
-			} else {
-				set = in.Intern(s.pts[rep])
+			set = -1
+			if !s.pts[rep].Empty() {
+				set = in.Index(s.pts[rep])
 			}
 			cache[rep] = set
 		}
-		if set != empty {
+		if set >= 0 {
 			s.a.pts[v] = set
 		}
 	}
+	s.a.sets = in.Sets()
 }
 
 // PointsTo returns the allocation sites v may point to; a nil slice
@@ -702,11 +704,11 @@ func (a *Analysis) PointsTo(v ir.Value) (sites []ir.Value, unknown bool) {
 	if a.degraded != nil {
 		return nil, true
 	}
-	set := a.pts[v]
-	if set == nil {
+	i, ok := a.pts[v]
+	if !ok {
 		return nil, false
 	}
-	set.ForEach(func(o int) bool {
+	a.sets[i].ForEach(func(o int) bool {
 		if o == unknownObj {
 			unknown = true
 		} else {
@@ -720,24 +722,21 @@ func (a *Analysis) PointsTo(v ir.Value) (sites []ir.Value, unknown bool) {
 // Alias answers a query from disjointness of points-to sets: two
 // pointers with non-empty, disjoint, fully known sets cannot alias.
 func (a *Analysis) Alias(la, lb alias.Location) alias.Result {
-	return pair(a.knownSet(la.Ptr), a.knownSet(lb.Ptr))
+	return a.pair(a.knownSet(la.Ptr), a.knownSet(lb.Ptr))
 }
 
-// knownSet is the per-pointer half of Alias: v's points-to set when it
-// is non-empty and fully known, nil otherwise.
-func (a *Analysis) knownSet(v ir.Value) *bitvec.Set {
-	if a.degraded != nil {
-		return nil
+// knownSet is the per-pointer half of Alias: the index in sets of v's
+// points-to set when it is non-empty and fully known, -1 otherwise.
+func (a *Analysis) knownSet(v ir.Value) int32 {
+	i, ok := a.pts[v]
+	if a.degraded != nil || !ok || a.sets[i].Empty() || a.sets[i].Has(unknownObj) {
+		return -1
 	}
-	s := a.pts[v]
-	if s == nil || s.Empty() || s.Has(unknownObj) {
-		return nil
-	}
-	return s
+	return i
 }
 
-func pair(x, y *bitvec.Set) alias.Result {
-	if x == nil || y == nil || x.Intersects(y) {
+func (a *Analysis) pair(x, y int32) alias.Result {
+	if x < 0 || y < 0 || a.sets[x].Intersects(a.sets[y]) {
 		return alias.MayAlias
 	}
 	return alias.NoAlias
@@ -749,7 +748,7 @@ func (a *Analysis) NewPrepared() alias.Prepared { return &prepared{a: a} }
 
 type prepared struct {
 	a    *Analysis
-	sets []*bitvec.Set
+	sets []int32
 }
 
 func (p *prepared) Prepare(_ *ir.Func, ptrs []alias.Pointer) {
@@ -759,4 +758,13 @@ func (p *prepared) Prepare(_ *ir.Func, ptrs []alias.Pointer) {
 	}
 }
 
-func (p *prepared) Pair(i, j int) alias.Result { return pair(p.sets[i], p.sets[j]) }
+func (p *prepared) Pair(i, j int) alias.Result { return p.a.pair(p.sets[i], p.sets[j]) }
+
+// Key is the index of the pointer's interned set, or -1 when the set
+// is unusable: the rule reads nothing else, whatever the pointers'
+// bases.
+func (p *prepared) Key(i int) int { return int(p.sets[i]) }
+
+func (p *prepared) Cross(i, j int) alias.Result { return p.Pair(i, j) }
+
+func (p *prepared) Exceptions(func(i, j int)) {}

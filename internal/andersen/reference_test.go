@@ -24,7 +24,7 @@ func AnalyzeReference(m *ir.Module) *Analysis {
 // query identically to AnalyzeCtx on the same inputs.
 func AnalyzeReferenceCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
 	a := &Analysis{
-		pts:   map[ir.Value]*bitvec.Set{},
+		pts:   map[ir.Value]int32{},
 		objOf: map[ir.Value]int{},
 		objs:  []ir.Value{nil}, // unknown
 	}
@@ -266,6 +266,7 @@ func (s *refSolver) resolve() {
 		for o := range m {
 			set.Add(o)
 		}
-		s.a.pts[v] = in.Intern(set)
+		s.a.pts[v] = in.Index(set)
 	}
+	s.a.sets = in.Sets()
 }

@@ -279,12 +279,15 @@ func (s *Set) Clone() *Set {
 // canonical *Set, so equal sets share storage and compare by pointer.
 // Not safe for concurrent use; give each solver its own.
 type Interner struct {
-	table map[uint64][]*Set
+	// table lists the indices in sets of the canonical sets with each
+	// fingerprint.
+	table map[uint64][]int32
+	sets  []*Set
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{table: map[uint64][]*Set{}}
+	return &Interner{table: map[uint64][]int32{}}
 }
 
 // fingerprint is an FNV-1a style hash over the chunk stream.
@@ -299,13 +302,23 @@ func fingerprint(s *Set) uint64 {
 
 // Intern returns the canonical instance equal to s. The returned set
 // must not be mutated; callers that need to grow a set Clone it first.
-func (t *Interner) Intern(s *Set) *Set {
+func (t *Interner) Intern(s *Set) *Set { return t.sets[t.Index(s)] }
+
+// Index interns s and returns its canonical instance's index in
+// Sets(): equal sets share one index, and indices count up from 0 in
+// the order the sets were first interned.
+func (t *Interner) Index(s *Set) int32 {
 	fp := fingerprint(s)
-	for _, cand := range t.table[fp] {
-		if cand.Equal(s) {
-			return cand
+	for _, i := range t.table[fp] {
+		if t.sets[i].Equal(s) {
+			return i
 		}
 	}
-	t.table[fp] = append(t.table[fp], s)
-	return s
+	i := int32(len(t.sets))
+	t.sets = append(t.sets, s)
+	t.table[fp] = append(t.table[fp], i)
+	return i
 }
+
+// Sets returns the canonical instances by index.
+func (t *Interner) Sets() []*Set { return t.sets }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"repro/internal/csr"
 	"repro/internal/ir"
 	"repro/internal/rangeanal"
 )
@@ -18,9 +19,13 @@ type paramPair struct{ Lo, Hi int }
 // (pi, pj) of one function, pi < pj is recorded when every in-module
 // call site passes arguments with argi < argj in the caller — the
 // intersection semantics of rule 4 lifted across the call graph.
-// Functions that are never called from inside the module (entry
-// points) get no parameter facts, matching the [−∞, +∞] default the
-// paper describes for the intra-procedural alternative.
+// Only functions that an entry point, a function with no in-module
+// caller, reaches through calls get parameter facts; range analysis
+// applies the same entry rule. Any other function may be called from
+// outside with any argument: an entry point itself, and also a
+// function called only by itself or by a cycle that no entry point
+// reaches. Those keep the [−∞, +∞] default the paper describes for the
+// intra-procedural alternative.
 //
 // The refinement iterates to a fixed point: caller facts may
 // themselves depend on parameter facts established in a previous
@@ -39,16 +44,30 @@ func AnalyzeInterprocCtx(ctx context.Context, m *ir.Module, ranges *rangeanal.Re
 	// Round 0: plain per-function analysis.
 	res := AnalyzeCtx(ctx, m, ranges, opt)
 
-	// Collect call sites per callee.
+	// Collect call sites per callee, and the call graph of the entry
+	// rule: function i has ncallers[i] in-module call sites and calls
+	// callees[off[i]:off[i+1]].
+	fnIdx := make(map[*ir.Func]int32, len(m.Funcs))
+	for i, f := range m.Funcs {
+		fnIdx[f] = int32(i)
+	}
 	callers := map[*ir.Func][]*ir.Instr{}
-	for _, f := range m.Funcs {
+	ncallers, off := make([]int32, len(m.Funcs)), make([]int32, len(m.Funcs)+1)
+	var callees []int32
+	for i, f := range m.Funcs {
 		f.Instrs(func(in *ir.Instr) bool {
 			if in.Op == ir.OpCall && in.Callee != nil {
 				callers[in.Callee] = append(callers[in.Callee], in)
+				if c, ok := fnIdx[in.Callee]; ok {
+					ncallers[c]++
+					callees = append(callees, c)
+				}
 			}
 			return true
 		})
+		off[i+1] = int32(len(callees))
 	}
+	reached := csr.Reached(ncallers, callees, off)
 
 	// seeds[f] is the set of (lesser, greater) parameter index pairs
 	// currently believed to hold.
@@ -59,7 +78,7 @@ func AnalyzeInterprocCtx(ctx context.Context, m *ir.Module, ranges *rangeanal.Re
 		changed := false
 		next := map[*ir.Func]map[paramPair]bool{}
 		for f, sites := range callers {
-			if len(sites) == 0 || len(f.Params) < 2 {
+			if i, ok := fnIdx[f]; !ok || !reached[i] || len(f.Params) < 2 {
 				continue
 			}
 			np := len(f.Params)

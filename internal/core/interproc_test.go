@@ -128,3 +128,58 @@ int entry(int a, int b, int *v) {
 		t.Error("uncalled function's params should carry no facts")
 	}
 }
+
+// TestInterprocEntryRule: parameter facts come only from the call
+// sites of functions an entry point reaches. A function called only by
+// itself, or a cycle nothing else calls, may be called from outside
+// with any arguments, so its own calls prove nothing; once an entry
+// point calls in, every call site counts.
+func TestInterprocEntryRule(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		// fns lists the functions whose (i, j) parameters are checked.
+		fns  []string
+		want bool
+	}{
+		{"self-recursive", `
+void f(int *p, int i, int j) {
+  p[i] = 1;
+  p[j] = 2;
+  f(p, i, i + 1);
+}
+int main(void) { return 0; }
+`, []string{"f"}, false},
+		{"uncalled cycle", `
+void g(int *p, int i, int j) {
+  p[i] = p[j];
+  h(p, i, i + 1);
+}
+void h(int *p, int i, int j) {
+  p[j] = p[i];
+  g(p, i, i + 1);
+}
+int main(void) { return 0; }
+`, []string{"g", "h"}, false},
+		{"self-recursive, called", `
+void f(int *p, int i, int j) {
+  p[i] = 1;
+  p[j] = 2;
+  f(p, i, i + 1);
+}
+int main(void) {
+  int a[8];
+  f(a, 0, 1);
+  return 0;
+}
+`, []string{"f"}, true},
+	} {
+		m := minic.MustCompile("t", tc.src)
+		prep := Prepare(m, PipelineOptions{Interprocedural: true})
+		for _, name := range tc.fns {
+			f := prep.Module.FuncByName(name)
+			if got := prep.LT.LessThan(ir.Value(f.Params[1]), ir.Value(f.Params[2])); got != tc.want {
+				t.Errorf("%s: @%s i < j = %v, want %v", tc.name, name, got, tc.want)
+			}
+		}
+	}
+}

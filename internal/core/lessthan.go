@@ -412,6 +412,22 @@ func (fl FuncLT) Less(i, j int32) bool {
 	return i >= 0 && j >= 0 && fl.fr.sets[j].Has(int(i))
 }
 
+// Len returns the number of indexed variables: every index is in
+// [0, Len()).
+func (fl FuncLT) Len() int {
+	if fl.fr == nil {
+		return 0
+	}
+	return len(fl.fr.sets)
+}
+
+// ForEachLess calls f, in ascending order, with every variable proven
+// strictly less than variable j, the members of LT(j); f returning
+// false stops the walk.
+func (fl FuncLT) ForEachLess(j int32, f func(i int) bool) {
+	fl.fr.sets[j].ForEach(f)
+}
+
 // LT returns the members of LT(x), i.e. every variable proven
 // strictly less than x, in deterministic order.
 func (r *Result) LT(x ir.Value) []ir.Value {

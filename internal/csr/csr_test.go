@@ -29,3 +29,24 @@ func TestGroup(t *testing.T) {
 		}
 	}
 }
+
+// TestReached: a source marks what it reaches, itself excluded, and a
+// cycle that no source enters stays unmarked.
+func TestReached(t *testing.T) {
+	// 0 → 1 → 2 → 1, 3 → 3, 4 → 5 → 4.
+	succ := [][]int32{{1}, {2}, {1}, {3}, {5}, {4}}
+	indeg := make([]int32, len(succ))
+	off := []int32{0}
+	var flat []int32
+	for _, ws := range succ {
+		for _, w := range ws {
+			indeg[w]++
+		}
+		flat = append(flat, ws...)
+		off = append(off, int32(len(flat)))
+	}
+	want := []bool{false, true, true, false, false, false}
+	if got := Reached(indeg, flat, off); !slices.Equal(got, want) {
+		t.Errorf("Reached = %v, want %v", got, want)
+	}
+}

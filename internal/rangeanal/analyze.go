@@ -366,7 +366,11 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 		}
 		calleeOff[i+1] = int32(len(callees))
 	}
-	reached := reachedFromEntries(callers, callees, calleeOff)
+	// The entry rule. Functions without an in-module caller may be
+	// called from outside with any argument, and so may every function
+	// they do not reach through calls: only the functions reached bind
+	// their parameters to their call sites.
+	reached := csr.Reached(callers, callees, calleeOff)
 	argOff, argSlots := csr.Group(int(params), args)
 	base := int32(len(s.ops))
 	s.ops = append(s.ops, argSlots...)
@@ -382,33 +386,6 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 	}
 	s.depOff, s.deps = csr.Group(int(id), b.edges)
 	return s, ids
-}
-
-// reachedFromEntries implements the entry rule. Functions without an
-// in-module caller may be called from outside with any argument, and
-// so may every function they do not reach through calls: only the
-// functions it marks bind their parameters to their call sites.
-// Function f, with callers[f] in-module call sites, calls
-// callees[off[f]:off[f+1]].
-func reachedFromEntries(callers, callees, off []int32) []bool {
-	reached := make([]bool, len(callers))
-	var stack []int32
-	for f, n := range callers {
-		if n == 0 {
-			stack = append(stack, int32(f))
-		}
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range callees[off[f]:off[f+1]] {
-			if !reached[c] {
-				reached[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return reached
 }
 
 // instr resolves the integer instruction in, node id, recording its

@@ -21,7 +21,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/budget"
 )
@@ -59,6 +62,29 @@ type Request struct {
 	// Budget caps this request's solver work. It is clamped to the
 	// server's ceiling; absent means "server default".
 	Budget *budget.Spec `json:"budget,omitempty"`
+}
+
+// DecodeRequest reads the body of an analyze request: exactly one JSON
+// object with only the Request fields, followed by nothing but
+// whitespace, that passes Validate against maxSource. An empty query
+// list decodes as an absent one.
+func DecodeRequest(body io.Reader, maxSource int) (*Request, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("request body: data after the request object")
+	}
+	if err := req.Validate(maxSource); err != nil {
+		return nil, err
+	}
+	if len(req.Queries) == 0 {
+		req.Queries = nil
+	}
+	return &req, nil
 }
 
 // Validate checks the request shape against the server's source-size

@@ -188,15 +188,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Decode under a byte cap so an oversized body is rejected while
 	// streaming, not after buffering it all.
 	r.Body = http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSource)+64*1024)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		s.st.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "request body: " + err.Error()})
-		return
-	}
-	if err := req.Validate(s.cfg.MaxSource); err != nil {
+	req, err := DecodeRequest(r.Body, s.cfg.MaxSource)
+	if err != nil {
 		s.st.badRequest.Add(1)
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
@@ -223,7 +216,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	resp, badReq := s.analyze(r.Context(), &req)
+	resp, badReq := s.analyze(r.Context(), req)
 	if badReq != nil {
 		s.st.badRequest.Add(1)
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: badReq.Error()})

@@ -154,6 +154,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative budget", `{"source":"int main(void){return 0;}","budget":{"max_steps":-1}}`},
 		{"unparsable program", `{"source":"int main("}`},
 		{"oversized source", fmt.Sprintf(`{"source":%q}`, "int x;"+strings.Repeat(" ", 5000))},
+		{"trailing garbage", `{"source":"int main(void){return 0;}"} trailing garbage`},
+		{"second object", `{"source":"int main(void){return 0;}"} {"source":"int main(void){return 1;}"}`},
+		{"trailing brace", `{"source":"int main(void){return 0;}"}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

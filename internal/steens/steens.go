@@ -406,3 +406,16 @@ func (p *prepared) Prepare(_ *ir.Func, ptrs []alias.Pointer) {
 }
 
 func (p *prepared) Pair(i, j int) alias.Result { return pair(p.facts[i], p.facts[j]) }
+
+// Key is the pointer's class when it is usable, else -1: the rule
+// reads nothing else, whatever the pointers' bases.
+func (p *prepared) Key(i int) int {
+	if !p.facts[i].usable {
+		return -1
+	}
+	return int(p.facts[i].class)
+}
+
+func (p *prepared) Cross(i, j int) alias.Result { return p.Pair(i, j) }
+
+func (p *prepared) Exceptions(func(i, j int)) {}
