@@ -279,15 +279,16 @@ func (s *Set) Clone() *Set {
 // canonical *Set, so equal sets share storage and compare by pointer.
 // Not safe for concurrent use; give each solver its own.
 type Interner struct {
-	// table lists the indices in sets of the canonical sets with each
-	// fingerprint.
-	table map[uint64][]int32
-	sets  []*Set
+	table map[uint64][]*Set
+	// ids numbers the canonical sets Index has returned: sets[ids[c]]
+	// is c. Intern alone leaves both empty.
+	ids  map[*Set]int32
+	sets []*Set
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{table: map[uint64][]int32{}}
+	return &Interner{table: map[uint64][]*Set{}}
 }
 
 // fingerprint is an FNV-1a style hash over the chunk stream.
@@ -302,21 +303,30 @@ func fingerprint(s *Set) uint64 {
 
 // Intern returns the canonical instance equal to s. The returned set
 // must not be mutated; callers that need to grow a set Clone it first.
-func (t *Interner) Intern(s *Set) *Set { return t.sets[t.Index(s)] }
+func (t *Interner) Intern(s *Set) *Set {
+	fp := fingerprint(s)
+	for _, cand := range t.table[fp] {
+		if cand.Equal(s) {
+			return cand
+		}
+	}
+	t.table[fp] = append(t.table[fp], s)
+	return s
+}
 
 // Index interns s and returns its canonical instance's index in
 // Sets(): equal sets share one index, and indices count up from 0 in
-// the order the sets were first interned.
+// the order Index first met each set.
 func (t *Interner) Index(s *Set) int32 {
-	fp := fingerprint(s)
-	for _, i := range t.table[fp] {
-		if t.sets[i].Equal(s) {
-			return i
+	c := t.Intern(s)
+	i, ok := t.ids[c]
+	if !ok {
+		if t.ids == nil {
+			t.ids = map[*Set]int32{}
 		}
+		i = int32(len(t.sets))
+		t.ids[c], t.sets = i, append(t.sets, c)
 	}
-	i := int32(len(t.sets))
-	t.sets = append(t.sets, s)
-	t.table[fp] = append(t.table[fp], i)
 	return i
 }
 

@@ -175,7 +175,8 @@ func TestIntersects(t *testing.T) {
 }
 
 // TestInternIdentity: hash-consing must map equal sets to one pointer
-// and distinct sets to distinct pointers.
+// and distinct sets to distinct pointers, and Index numbers the
+// canonical sets the same way.
 func TestInternIdentity(t *testing.T) {
 	in := NewInterner()
 	a := in.Intern(fromElems(1, 64, 4096))
@@ -190,6 +191,13 @@ func TestInternIdentity(t *testing.T) {
 	empty1, empty2 := in.Intern(&Set{}), in.Intern(&Set{})
 	if empty1 != empty2 {
 		t.Error("empty sets interned to different pointers")
+	}
+	ic, ia, ia2 := in.Index(fromElems(1, 64)), in.Index(fromElems(1, 64, 4096)), in.Index(a)
+	if ic != 0 || ia != 1 || ia2 != 1 {
+		t.Errorf("Index = %d, %d, %d; want 0, 1, 1 in order of first use", ic, ia, ia2)
+	}
+	if sets := in.Sets(); len(sets) != 2 || sets[0] != c || sets[1] != a {
+		t.Errorf("Sets = %v, want the canonical instances by index", sets)
 	}
 }
 
