@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/csr"
 	"repro/internal/ir"
 )
 
@@ -142,10 +141,8 @@ type Workspace struct {
 	// byClass lists the pointers by class, then by index; class c is
 	// byClass[first[c]:first[c+1]].
 	byClass, first []int32
-	// byBase lists the pointers of base b, by class, in
-	// byBase[baseOff[b]:baseOff[b+1]]; tagged feeds its counting sort.
-	byBase, baseOff []int32
-	tagged          []csr.Pair[int32]
+	// byBase lists the pointers by base, each base's by class.
+	byBase []int32
 	// exceptions holds the pairs the leaves list, packed as i<<32 | j;
 	// yield is addException, bound once.
 	exceptions []uint64
@@ -256,18 +253,20 @@ func (w *Workspace) classify() {
 		w.class[i] = int32(len(w.first) - 1)
 	}
 	w.first = append(w.first, int32(n))
-	w.tagged = slices.Grow(w.tagged[:0], n)
-	for _, i := range w.byClass {
-		w.tagged = append(w.tagged, csr.Pair[int32]{Key: w.base[i], Val: i})
-	}
-	w.baseOff, w.byBase = csr.GroupInto(w.baseOff, w.byBase, len(w.bases), w.tagged)
+	w.byBase = append(w.byBase[:0], w.byClass...)
+	slices.SortStableFunc(w.byBase, func(a, b int32) int { return cmp.Compare(w.base[a], w.base[b]) })
 }
 
 // askSameBase asks every pair of pointers that share a base.
 func (w *Workspace) askSameBase() {
 	w.asked = w.asked[:0]
-	for b := 0; b+1 < len(w.baseOff); b++ {
-		g := w.byBase[w.baseOff[b]:w.baseOff[b+1]]
+	for rest := w.byBase; len(rest) > 0; {
+		e := 1
+		for e < len(rest) && w.base[rest[e]] == w.base[rest[0]] {
+			e++
+		}
+		g := rest[:e]
+		rest = rest[e:]
 		for x, i := range g {
 			for _, j := range g[x+1:] {
 				w.tally(int(i), int(j), false, 1)

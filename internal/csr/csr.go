@@ -3,8 +3,6 @@
 // stored that way can be walked too.
 package csr
 
-import "slices"
-
 // Pair is one value filed under a key.
 type Pair[V any] struct {
 	Key int32
@@ -38,22 +36,14 @@ func Reached(indeg, succ, off []int32) []bool {
 // Group buckets pairs with keys in [0, n) by a stable counting sort:
 // the values of key k are vals[off[k]:off[k+1]], in the order of pairs.
 func Group[V any](n int, pairs []Pair[V]) (off []int32, vals []V) {
-	return GroupInto(nil, nil, n, pairs)
-}
-
-// GroupInto is Group writing into the storage of off and vals, which
-// it grows when they are too short, so a caller that groups again and
-// again can reuse them.
-func GroupInto[V any](off []int32, vals []V, n int, pairs []Pair[V]) ([]int32, []V) {
-	off = slices.Grow(off[:0], n+1)[:n+1]
-	clear(off)
+	off = make([]int32, n+1)
 	for _, p := range pairs {
 		off[p.Key+1]++
 	}
 	for k := 0; k < n; k++ {
 		off[k+1] += off[k]
 	}
-	vals = slices.Grow(vals[:0], len(pairs))[:len(pairs)]
+	vals = make([]V, len(pairs))
 	for _, p := range pairs {
 		vals[off[p.Key]] = p.Val
 		off[p.Key]++
