@@ -423,7 +423,7 @@ func (fl FuncLT) Len() int {
 
 // ForEachLess calls f, in ascending order, with every variable proven
 // strictly less than variable j, the members of LT(j); f returning
-// false stops the walk.
+// false stops the walk. j must be an index, in [0, Len()).
 func (fl FuncLT) ForEachLess(j int32, f func(i int) bool) {
 	fl.fr.sets[j].ForEach(f)
 }
