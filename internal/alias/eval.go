@@ -144,7 +144,8 @@ type Workspace struct {
 	// byBase lists the pointers by base, each base's by class.
 	byBase []int32
 	// exceptions holds the pairs the leaves list, packed as i<<32 | j;
-	// yield is addException, bound once.
+	// yield is addException, bound once so that passing it to every
+	// leaf of every function allocates nothing.
 	exceptions []uint64
 	yield      func(i, j int)
 	// asked counts, per pair of classes, the pairs already asked one

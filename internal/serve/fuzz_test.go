@@ -42,11 +42,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q, but not its encoding %s: %v", body, data, err)
 		}
+		// DeepEqual follows the Budget pointer, so the budget counts.
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("round trip of %q changed the request:\n%#v\n%#v", body, req, again)
-		}
-		if (req.Budget == nil) != (again.Budget == nil) || req.Budget != nil && *req.Budget != *again.Budget {
-			t.Fatalf("round trip of %q changed the budget", body)
 		}
 	})
 }
