@@ -53,6 +53,35 @@ func (s *Set) find(base int32) (int, bool) {
 	return lo, lo < len(s.chunks) && s.chunks[lo].base == base
 }
 
+// FromSorted returns the set of elems, which must be strictly
+// ascending and non-negative, the order Elems returns; ok is false
+// otherwise. It builds the chunks in one pass, without a search per
+// member.
+func FromSorted(elems []int32) (s *Set, ok bool) {
+	if len(elems) == 0 {
+		return &Set{}, true
+	}
+	first, last := elems[0], elems[len(elems)-1]
+	if first < 0 || last < first {
+		return nil, false
+	}
+	chunks := make([]chunk, 0, min(len(elems), int(last/64-first/64)+1))
+	prev := int32(-1)
+	for _, e := range elems {
+		if e <= prev {
+			return nil, false
+		}
+		prev = e
+		base, bit := e/64, uint64(1)<<(uint(e)%64)
+		if n := len(chunks); n > 0 && chunks[n-1].base == base {
+			chunks[n-1].word |= bit
+		} else {
+			chunks = append(chunks, chunk{base: base, word: bit})
+		}
+	}
+	return &Set{chunks: chunks}, true
+}
+
 // Add inserts i and reports whether the set changed.
 func (s *Set) Add(i int) bool {
 	base, bit := int32(i/64), uint64(1)<<(uint(i)%64)

@@ -91,45 +91,55 @@ func exportFunc(fr *funcResult, st Stats) *FuncArtifact {
 // then instruction results in block order), and every reference is
 // verified positionally; any mismatch reports ok=false and the
 // caller recomputes.
+//
+// A rebind has to cost less than the solve it replaces, so it compares
+// names without building Ref strings, presizes the index, builds each
+// set from its sorted members in one pass, shares one empty set, and
+// hands back the artifact's set-size histogram rather than a copy: the
+// caller only reads it, and artifacts are never mutated.
 func bindFunc(f *ir.Func, art *FuncArtifact) (*funcResult, Stats, bool) {
-	fr := &funcResult{index: map[ir.Value]int{}}
-	for _, p := range f.Params {
-		if _, dup := fr.index[p]; !dup {
-			fr.index[p] = len(fr.vars)
-			fr.vars = append(fr.vars, p)
+	n := len(art.Vars)
+	if len(art.Sets) != n {
+		return nil, Stats{}, false
+	}
+	fr := &funcResult{index: make(map[ir.Value]int, n), vars: make([]ir.Value, 0, n)}
+	add := func(v ir.Value) {
+		if _, dup := fr.index[v]; !dup {
+			fr.index[v] = len(fr.vars)
+			fr.vars = append(fr.vars, v)
 		}
+	}
+	for _, p := range f.Params {
+		add(p)
 	}
 	instrs := 0
 	f.Instrs(func(in *ir.Instr) bool {
 		instrs++
 		if in.HasResult() {
-			if _, dup := fr.index[in]; !dup {
-				fr.index[in] = len(fr.vars)
-				fr.vars = append(fr.vars, in)
-			}
+			add(in)
 		}
 		return true
 	})
-	if len(fr.vars) != len(art.Vars) || len(art.Sets) != len(art.Vars) {
+	if len(fr.vars) != n || art.Stats.Instrs != instrs || art.Stats.Vars != n {
 		return nil, Stats{}, false
 	}
 	for i, v := range fr.vars {
-		if v.Ref() != art.Vars[i] {
+		// Every variable is a parameter or an instruction result, so
+		// its Ref is "%" + Name.
+		ref := art.Vars[i]
+		if len(ref) == 0 || ref[0] != '%' || ref[1:] != v.Name() {
 			return nil, Stats{}, false
 		}
 	}
-	if art.Stats.Instrs != instrs || art.Stats.Vars != len(fr.vars) {
-		return nil, Stats{}, false
-	}
-	fr.sets = make([]*bitvec.Set, len(art.Sets))
-	n := len(fr.vars)
+	fr.sets = make([]*bitvec.Set, n)
 	for i, idxs := range art.Sets {
-		s := &bitvec.Set{}
-		for _, e := range idxs {
-			if int(e) < 0 || int(e) >= n {
-				return nil, Stats{}, false
-			}
-			s.Add(int(e))
+		if len(idxs) == 0 {
+			fr.sets[i] = emptySet
+			continue
+		}
+		s, ok := bitvec.FromSorted(idxs)
+		if !ok || int(idxs[len(idxs)-1]) >= n {
+			return nil, Stats{}, false
 		}
 		fr.sets[i] = s
 	}
@@ -138,10 +148,14 @@ func bindFunc(f *ir.Func, art *FuncArtifact) (*funcResult, Stats, bool) {
 		Vars:        art.Stats.Vars,
 		Constraints: art.Stats.Constraints,
 		Pops:        art.Stats.Pops,
-		SetSizes:    cloneSizes(art.Stats.SetSizes),
+		SetSizes:    art.Stats.SetSizes,
 	}
 	return fr, st, true
 }
+
+// emptySet is the one LT set every rebind shares for variables with no
+// proven lesser variable. Stored LT sets are never mutated.
+var emptySet = &bitvec.Set{}
 
 func cloneSizes(h map[int]int) map[int]int {
 	out := make(map[int]int, len(h))

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -89,23 +89,46 @@ func NewCacheWithBackend(b CacheBackend) *Cache {
 	return &Cache{entries: map[string]*core.FuncArtifact{}, disk: b}
 }
 
-// Lookup implements core.Memo.
+// Lookup implements core.Memo. Memory is consulted under the lock; the
+// durable tier is not. Its Get may be a network fetch with retries and
+// backoff (remote.Client), and holding the lock across it would stall
+// every other lookup and store in the process, memory hits included,
+// and serialize the fetches the client would otherwise coalesce.
 func (c *Cache) Lookup(key string) (*core.FuncArtifact, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	a, ok := c.entries[key]
-	if !ok && c.disk != nil {
-		if a, ok = c.disk.Get(key); ok {
-			c.entries[key] = a
-			c.diskHits++
-		}
+	if ok || c.disk == nil {
+		c.count(ok)
+		c.mu.Unlock()
+		return a, ok
 	}
-	if ok {
+	disk := c.disk
+	c.mu.Unlock()
+
+	a, ok = disk.Get(key)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, promoted := c.entries[key]; promoted {
+		// Another goroutine promoted or stored the key while the
+		// backend answered: serve its entry, as a memory hit, so
+		// each key is promoted at most once.
+		a, ok = cur, true
+	} else if ok {
+		c.entries[key] = a
+		c.diskHits++
+	}
+	c.count(ok)
+	return a, ok
+}
+
+// count records one lookup's outcome; c.mu must be held.
+func (c *Cache) count(hit bool) {
+	if hit {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	return a, ok
 }
 
 // Store implements core.Memo.
@@ -189,47 +212,81 @@ func (c *Cache) Stats() CacheStats {
 // section can masquerade as another. Inter-procedural seeds are NOT
 // part of this key: core appends its own canonical seed suffix, so
 // refinement rounds with different seeds never collide.
+//
+// All four sections are appended into one pooled buffer and hashed
+// once, so a key costs one pass over the function and, in steady
+// state, one allocation: the returned hex string. A cache hit is only
+// worth having when the key costs less than the solve it saves.
 func funcKey(f *ir.Func, ranges *rangeanal.Result, opt core.Options) string {
-	h := sha256.New()
-	io.WriteString(h, f.String())
+	kb := keyBufs.Get().(*keyBuf)
+	b := ir.AppendFunc(kb.b[:0], f)
 
 	// Referenced globals in first-use order (block/instruction order,
 	// hence deterministic). Their element types decide GEP scaling.
-	io.WriteString(h, "\x00globals\x00")
-	seen := map[*ir.Global]bool{}
+	b = append(b, "\x00globals\x00"...)
 	f.Instrs(func(in *ir.Instr) bool {
 		for _, a := range in.Args {
-			if g, ok := a.(*ir.Global); ok && !seen[g] {
-				seen[g] = true
-				fmt.Fprintf(h, "@%s:%s;", g.GName, g.Elem.String())
+			if g, ok := a.(*ir.Global); ok {
+				if _, dup := kb.seen[g]; !dup {
+					kb.seen[g] = struct{}{}
+					b = append(b, '@')
+					b = append(b, g.GName...)
+					b = append(b, ':')
+					b = ir.AppendType(b, g.Elem)
+					b = append(b, ';')
+				}
 			}
 		}
 		return true
 	})
+	clear(kb.seen)
 
 	// Intervals of every integer-typed variable, in the same
 	// enumeration order the solver uses (params, then instruction
 	// results in block order).
-	io.WriteString(h, "\x00ranges\x00")
+	b = append(b, "\x00ranges\x00"...)
 	if !opt.NoRanges && ranges != nil {
-		writeIv := func(v ir.Value) {
+		appendIv := func(v ir.Value) {
 			if !ir.IsInt(v.Type()) {
 				return
 			}
 			iv := ranges.Range(v)
-			fmt.Fprintf(h, "%s=[%d,%d];", v.Ref(), iv.Lo, iv.Hi)
+			b = append(ir.AppendRef(b, v), "=["...)
+			b = append(strconv.AppendInt(b, iv.Lo, 10), ',')
+			b = append(strconv.AppendInt(b, iv.Hi, 10), "];"...)
 		}
 		for _, p := range f.Params {
-			writeIv(p)
+			appendIv(p)
 		}
 		f.Instrs(func(in *ir.Instr) bool {
 			if in.HasResult() {
-				writeIv(in)
+				appendIv(in)
 			}
 			return true
 		})
 	}
 
-	fmt.Fprintf(h, "\x00opts:nr=%t,ns=%t", opt.NoRanges, opt.NonStrict)
-	return hex.EncodeToString(h.Sum(nil))
+	b = append(b, "\x00opts:nr="...)
+	b = append(strconv.AppendBool(b, opt.NoRanges), ",ns="...)
+	b = strconv.AppendBool(b, opt.NonStrict)
+	sum := sha256.Sum256(b)
+	kb.b = b
+	keyBufs.Put(kb)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
+
+// keyBuf is funcKey's scratch space: the bytes to hash and the set of
+// globals already written. The set is emptied after every key; a map
+// keeps first-use deduplication linear in the number of operands.
+type keyBuf struct {
+	b    []byte
+	seen map[*ir.Global]struct{}
+}
+
+// keyBufs reuses key buffers across calls and the per-function solves
+// of a worker pool, which compute keys concurrently.
+var keyBufs = sync.Pool{New: func() any {
+	return &keyBuf{seen: map[*ir.Global]struct{}{}}
+}}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -153,5 +154,98 @@ func TestCacheStatsInMemoryConcurrent(t *testing.T) {
 	}
 	if st.Entries != 5 {
 		t.Errorf("entries = %d, want 5", st.Entries)
+	}
+}
+
+// blockingBackend is a durable tier whose Get blocks until released,
+// as a remote fetch does through its retry and backoff schedule. It
+// answers with art, or misses when art is nil.
+type blockingBackend struct {
+	entered, release chan struct{}
+	art              *core.FuncArtifact
+}
+
+func (b *blockingBackend) Get(string) (*core.FuncArtifact, bool) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.art, b.art != nil
+}
+
+func (b *blockingBackend) Put(string, *core.FuncArtifact) error { return nil }
+
+// TestLookupDoesNotWaitOnBackend: while one lookup waits on the durable
+// tier, a lookup of a key already in memory and a store both complete.
+// Holding the cache lock across the fetch made them wait for it.
+func TestLookupDoesNotWaitOnBackend(t *testing.T) {
+	bb := &blockingBackend{entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewCacheWithBackend(bb)
+	c.Store(statsKey(1), statsArtifact(1))
+
+	cold := make(chan bool)
+	go func() {
+		_, ok := c.Lookup(statsKey(2))
+		cold <- ok
+	}()
+	<-bb.entered // the cold lookup is inside the backend
+
+	warm := make(chan bool)
+	go func() {
+		_, ok := c.Lookup(statsKey(1))
+		c.Store(statsKey(3), statsArtifact(3))
+		warm <- ok
+	}()
+	select {
+	case ok := <-warm:
+		if !ok {
+			t.Error("in-memory key missed")
+		}
+	case <-time.After(2 * time.Second):
+		close(bb.release)
+		<-warm
+		<-cold
+		t.Fatal("a memory hit and a store waited on another lookup's backend fetch")
+	}
+	close(bb.release)
+	if <-cold {
+		t.Error("cold key hit a backend that has nothing")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.DiskHits != 0 || st.Entries != 2 {
+		t.Errorf("stats %+v, want 1 hit, 1 miss, 0 disk hits, 2 entries", st)
+	}
+}
+
+// TestLookupPromotionRace: when another goroutine stores a key while a
+// lookup of it waits on the backend, the lookup returns the entry
+// already in memory and counts a memory hit, not a second promotion.
+func TestLookupPromotionRace(t *testing.T) {
+	disk, mem := statsArtifact(7), statsArtifact(8)
+	bb := &blockingBackend{entered: make(chan struct{}), release: make(chan struct{}), art: disk}
+	c := NewCacheWithBackend(bb)
+
+	got := make(chan *core.FuncArtifact)
+	go func() {
+		a, _ := c.Lookup(statsKey(7))
+		got <- a
+	}()
+	<-bb.entered
+	stored := make(chan struct{})
+	go func() {
+		c.Store(statsKey(7), mem)
+		close(stored)
+	}()
+	select {
+	case <-stored:
+	case <-time.After(2 * time.Second):
+		close(bb.release)
+		<-stored
+		<-got
+		t.Fatal("a store waited on another lookup's backend fetch")
+	}
+	close(bb.release)
+	if a := <-got; a != mem {
+		t.Errorf("lookup returned the backend's artifact over the one in memory")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.DiskHits != 0 {
+		t.Errorf("stats %+v, want 1 memory hit and no disk hit", st)
 	}
 }

@@ -8,8 +8,9 @@ import (
 
 // FuzzParse hardens the textual-IR parser against arbitrary input: it
 // must never panic, and whenever it accepts a module, the printed form
-// must reparse to the same text (print∘parse is a projection). Seeds
-// live in testdata/fuzz/FuzzParse alongside the f.Add literals.
+// must equal the reference printer's and reparse to the same text
+// (print∘parse is a projection). Seeds live in testdata/fuzz/FuzzParse
+// alongside the f.Add literals.
 func FuzzParse(f *testing.F) {
 	f.Add(`module "m"
 
@@ -49,6 +50,9 @@ b:
 			return
 		}
 		text := m.String()
+		if want := refModule(m); text != want {
+			t.Fatalf("printer differs from the reference on %q:\n%s", src, firstDiff(text, want))
+		}
 		m2, err := ir.Parse(text)
 		if err != nil {
 			t.Fatalf("accepted module does not reparse: %v\ninput:\n%q\nprinted:\n%s", err, src, text)

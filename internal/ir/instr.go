@@ -269,6 +269,3 @@ func (in *Instr) Incoming(b *Block) Value {
 	}
 	return nil
 }
-
-// String renders the instruction in the textual syntax.
-func (in *Instr) String() string { return printInstr(in) }

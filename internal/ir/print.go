@@ -1,115 +1,237 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
+
+// The printer appends to a byte slice, in the style of strconv's
+// Append functions, so printing allocates nothing per instruction or
+// operand. String is a thin wrapper over the append form; the memo key
+// appends into a reused buffer and allocates nothing at all.
 
 // String renders the module in the textual syntax accepted by Parse.
-func (m *Module) String() string {
-	var sb strings.Builder
+func (m *Module) String() string { return string(appendModule(nil, m)) }
+
+// String renders the function in the textual syntax.
+func (f *Func) String() string { return string(AppendFunc(nil, f)) }
+
+// String renders the instruction in the textual syntax.
+func (in *Instr) String() string { return string(appendInstr(nil, in)) }
+
+// appendModule appends the textual form of m to b.
+func appendModule(b []byte, m *Module) []byte {
 	if m.Name != "" {
-		fmt.Fprintf(&sb, "module %q\n\n", m.Name)
+		b = append(b, "module "...)
+		b = strconv.AppendQuote(b, m.Name)
+		b = append(b, "\n\n"...)
 	}
 	for _, g := range m.Globals {
-		fmt.Fprintf(&sb, "global @%s %s\n", g.GName, g.Elem)
+		b = append(b, "global @"...)
+		b = append(b, g.GName...)
+		b = append(b, ' ')
+		b = AppendType(b, g.Elem)
+		b = append(b, '\n')
 	}
 	if len(m.Globals) > 0 {
-		sb.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for i, f := range m.Funcs {
 		if i > 0 {
-			sb.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		sb.WriteString(f.String())
+		b = AppendFunc(b, f)
 	}
-	return sb.String()
+	return b
 }
 
-// String renders the function in the textual syntax.
-func (f *Func) String() string {
-	var sb strings.Builder
-	params := make([]string, len(f.Params))
+// AppendFunc appends the textual form of f to b.
+func AppendFunc(b []byte, f *Func) []byte {
+	b = append(b, "func @"...)
+	b = append(b, f.FName...)
+	b = append(b, '(')
 	for i, p := range f.Params {
-		params[i] = fmt.Sprintf("%s %%%s", p.Typ, p.PName)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = AppendType(b, p.Typ)
+		b = append(b, " %"...)
+		b = append(b, p.PName...)
 	}
-	fmt.Fprintf(&sb, "func @%s(%s) %s {\n",
-		f.FName, strings.Join(params, ", "), f.RetTyp)
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b.name)
-		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "  %s\n", printInstr(in))
+	b = append(b, ") "...)
+	b = AppendType(b, f.RetTyp)
+	b = append(b, " {\n"...)
+	for _, blk := range f.Blocks {
+		b = append(b, blk.name...)
+		b = append(b, ":\n"...)
+		for _, in := range blk.Instrs {
+			b = append(b, "  "...)
+			b = appendInstr(b, in)
+			b = append(b, '\n')
 		}
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	return append(b, "}\n"...)
 }
 
-func printInstr(in *Instr) string {
-	var sb strings.Builder
+// appendInstr appends the textual form of in to b, without
+// indentation or a trailing newline.
+func appendInstr(b []byte, in *Instr) []byte {
 	if in.HasResult() {
-		fmt.Fprintf(&sb, "%%%s = ", in.name)
+		b = append(b, '%')
+		b = append(b, in.name...)
+		b = append(b, " = "...)
 	}
 	switch in.Op {
 	case OpAlloca:
-		fmt.Fprintf(&sb, "alloca %s, %d", in.AllocTyp, in.NumElems)
+		b = append(b, "alloca "...)
+		b = AppendType(b, in.AllocTyp)
+		b = append(b, ", "...)
+		b = strconv.AppendInt(b, in.NumElems, 10)
 	case OpMalloc:
-		pt := in.Typ.(*PtrType)
-		fmt.Fprintf(&sb, "malloc %s, %s", pt.Elem, in.Args[0].Ref())
+		b = append(b, "malloc "...)
+		b = AppendType(b, in.Typ.(*PtrType).Elem)
+		b = append(b, ", "...)
+		b = AppendRef(b, in.Args[0])
 	case OpLoad:
-		fmt.Fprintf(&sb, "load %s", in.Args[0].Ref())
+		b = append(b, "load "...)
+		b = AppendRef(b, in.Args[0])
 	case OpStore:
-		fmt.Fprintf(&sb, "store %s, %s", in.Args[0].Ref(), in.Args[1].Ref())
+		b = appendPair(append(b, "store "...), in.Args[0], in.Args[1])
 	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr:
-		fmt.Fprintf(&sb, "%s %s, %s", in.Op, in.Args[0].Ref(), in.Args[1].Ref())
+		b = append(b, in.Op.String()...)
+		b = appendPair(append(b, ' '), in.Args[0], in.Args[1])
 	case OpICmp:
-		fmt.Fprintf(&sb, "icmp %s %s, %s", in.Pred, in.Args[0].Ref(), in.Args[1].Ref())
+		b = append(b, "icmp "...)
+		b = append(b, in.Pred.String()...)
+		b = appendPair(append(b, ' '), in.Args[0], in.Args[1])
 	case OpGEP:
-		fmt.Fprintf(&sb, "gep %s, %s", in.Args[0].Ref(), in.Args[1].Ref())
+		b = appendPair(append(b, "gep "...), in.Args[0], in.Args[1])
 	case OpPhi:
-		fmt.Fprintf(&sb, "phi %s", in.Typ)
+		b = append(b, "phi "...)
+		b = AppendType(b, in.Typ)
 		for i, a := range in.Args {
-			fmt.Fprintf(&sb, " [%s, %s]", a.Ref(), in.PhiBlocks[i].name)
+			b = append(b, " ["...)
+			b = AppendRef(b, a)
+			b = append(b, ", "...)
+			b = append(b, in.PhiBlocks[i].name...)
+			b = append(b, ']')
 			if i < len(in.Args)-1 {
-				sb.WriteByte(',')
+				b = append(b, ',')
 			}
 		}
 	case OpSigma:
-		branch := "false"
+		b = append(b, "sigma "...)
+		b = AppendRef(b, in.Args[0])
+		b = append(b, ", cmp "...)
+		b = AppendRef(b, in.Cmp)
 		if in.OnTrue {
-			branch = "true"
+			b = append(b, ", true"...)
+		} else {
+			b = append(b, ", false"...)
 		}
-		side := "left"
 		if in.CmpSide == 1 {
-			side = "right"
+			b = append(b, ", right"...)
+		} else {
+			b = append(b, ", left"...)
 		}
-		fmt.Fprintf(&sb, "sigma %s, cmp %s, %s, %s", in.Args[0].Ref(), in.Cmp.Ref(), branch, side)
 	case OpCopy:
-		fmt.Fprintf(&sb, "copy %s", in.Args[0].Ref())
+		b = append(b, "copy "...)
+		b = AppendRef(b, in.Args[0])
 		if in.SubUser != nil {
-			fmt.Fprintf(&sb, ", sub %s", in.SubUser.Ref())
+			b = append(b, ", sub "...)
+			b = AppendRef(b, in.SubUser)
 		}
 	case OpCall:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = a.Ref()
-		}
-		fmt.Fprintf(&sb, "call %s @%s(%s)", in.Typ, in.CalleeName, strings.Join(args, ", "))
+		b = append(b, "call "...)
+		b = AppendType(b, in.Typ)
+		b = append(b, " @"...)
+		b = append(b, in.CalleeName...)
+		b = append(b, '(')
+		b = appendArgs(b, in.Args)
+		b = append(b, ')')
 	case OpBr:
-		fmt.Fprintf(&sb, "br %s, %s, %s", in.Args[0].Ref(), in.Succs[0].name, in.Succs[1].name)
+		b = append(b, "br "...)
+		b = AppendRef(b, in.Args[0])
+		b = append(b, ", "...)
+		b = append(b, in.Succs[0].name...)
+		b = append(b, ", "...)
+		b = append(b, in.Succs[1].name...)
 	case OpJmp:
-		fmt.Fprintf(&sb, "jmp %s", in.Succs[0].name)
+		b = append(b, "jmp "...)
+		b = append(b, in.Succs[0].name...)
 	case OpRet:
+		b = append(b, "ret"...)
 		if len(in.Args) > 0 {
-			fmt.Fprintf(&sb, "ret %s", in.Args[0].Ref())
-		} else {
-			sb.WriteString("ret")
+			b = append(b, ' ')
+			b = AppendRef(b, in.Args[0])
 		}
 	default:
-		fmt.Fprintf(&sb, "<bad op %d>", int(in.Op))
+		b = append(b, "<bad op "...)
+		b = strconv.AppendInt(b, int64(in.Op), 10)
+		b = append(b, '>')
 	}
 	if in.Line > 0 {
-		fmt.Fprintf(&sb, " !line %d", in.Line)
+		b = append(b, " !line "...)
+		b = strconv.AppendInt(b, int64(in.Line), 10)
 	}
-	return sb.String()
+	return b
+}
+
+// appendPair appends two operands separated by a comma.
+func appendPair(b []byte, x, y Value) []byte {
+	return AppendRef(append(AppendRef(b, x), ", "...), y)
+}
+
+// appendArgs appends the operands as a comma-separated list.
+func appendArgs(b []byte, args []Value) []byte {
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = AppendRef(b, a)
+	}
+	return b
+}
+
+// AppendRef appends v's operand rendering, as Value.Ref returns it, to
+// b.
+func AppendRef(b []byte, v Value) []byte {
+	switch v := v.(type) {
+	case *Const:
+		return strconv.AppendInt(b, v.Val, 10)
+	case *Instr:
+		return append(append(b, '%'), v.name...)
+	case *Param:
+		return append(append(b, '%'), v.PName...)
+	case *Global:
+		return append(append(b, '@'), v.GName...)
+	}
+	return append(b, v.Ref()...)
+}
+
+// AppendType appends the textual form of t to b. A missing type
+// prints as fmt's "%!s(<nil>)", the form the printer has always given
+// it.
+func AppendType(b []byte, t Type) []byte {
+	switch t := t.(type) {
+	case nil:
+		return append(b, "%!s(<nil>)"...)
+	case *IntType:
+		return strconv.AppendInt(append(b, 'i'), int64(t.Bits), 10)
+	case *PtrType:
+		return append(AppendType(b, t.Elem), '*')
+	case *ArrayType:
+		b = strconv.AppendInt(append(b, '['), t.Len, 10)
+		b = AppendType(append(b, " x "...), t.Elem)
+		return append(b, ']')
+	case *VoidType:
+		return append(b, "void"...)
+	case *FuncType:
+		b = append(AppendType(b, t.Ret), '(')
+		for i, p := range t.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = AppendType(b, p)
+		}
+		return append(b, ')')
+	}
+	return append(b, t.String()...)
 }

@@ -19,10 +19,7 @@
 // stable and used heavily by the test suites of the analysis packages.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Type is the interface implemented by all IR types. Types are
 // immutable after construction and compared structurally with Equal.
@@ -41,7 +38,7 @@ type IntType struct {
 	Bits int
 }
 
-func (t *IntType) String() string { return fmt.Sprintf("i%d", t.Bits) }
+func (t *IntType) String() string { return string(AppendType(nil, t)) }
 
 // SizeBytes returns the byte size of the integer, rounding bit widths
 // up to whole bytes.
@@ -54,7 +51,7 @@ type PtrType struct {
 	Elem Type
 }
 
-func (t *PtrType) String() string { return t.Elem.String() + "*" }
+func (t *PtrType) String() string { return string(AppendType(nil, t)) }
 
 // SizeBytes returns 8: the IR models a 64-bit address space.
 func (t *PtrType) SizeBytes() int64 { return 8 }
@@ -68,9 +65,7 @@ type ArrayType struct {
 	Len  int64
 }
 
-func (t *ArrayType) String() string {
-	return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
-}
+func (t *ArrayType) String() string { return string(AppendType(nil, t)) }
 
 // SizeBytes returns the total storage size of the array.
 func (t *ArrayType) SizeBytes() int64 { return t.Len * t.Elem.SizeBytes() }
@@ -81,7 +76,7 @@ func (t *ArrayType) isType() {}
 // the return type of functions that return nothing.
 type VoidType struct{}
 
-func (t *VoidType) String() string { return "void" }
+func (t *VoidType) String() string { return string(AppendType(nil, t)) }
 
 // SizeBytes returns 0; void values cannot be stored.
 func (t *VoidType) SizeBytes() int64 { return 0 }
@@ -94,13 +89,7 @@ type FuncType struct {
 	Ret    Type
 }
 
-func (t *FuncType) String() string {
-	parts := make([]string, len(t.Params))
-	for i, p := range t.Params {
-		parts[i] = p.String()
-	}
-	return fmt.Sprintf("%s(%s)", t.Ret, strings.Join(parts, ", "))
-}
+func (t *FuncType) String() string { return string(AppendType(nil, t)) }
 
 // SizeBytes returns 0; function types are not first-class storage.
 func (t *FuncType) SizeBytes() int64 { return 0 }

@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // Value is anything that can appear as an instruction operand: integer
 // constants, globals, function parameters, and the results of
 // instructions. Values are compared by identity except for constants,
@@ -42,7 +40,7 @@ func ConstBool(b bool) *Const {
 func (c *Const) Type() Type { return c.Typ }
 
 // Name returns the decimal representation of the constant.
-func (c *Const) Name() string { return fmt.Sprintf("%d", c.Val) }
+func (c *Const) Name() string { return string(AppendRef(nil, c)) }
 
 // Ref returns the operand rendering of the constant.
 func (c *Const) Ref() string { return c.Name() }

@@ -302,6 +302,103 @@ func TestLeaseStealRace(t *testing.T) {
 	}
 }
 
+// TestLeaseStealOneThiefPerEpoch interleaves two thieves
+// deterministically: the second runs its whole steal between the
+// first's read of the stale lease and its removal. Without a guard the
+// first then removed the second's fresh lease, linked its own, and
+// both confirmed the same epoch. Exactly one may win, and the lease
+// file must name it.
+//
+// The second thief runs before the first takes the sidecar lock, so
+// this pins the re-read under the lock;
+// TestLeaseStealBacksOffWhileLocked pins the lock.
+func TestLeaseStealOneThiefPerEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stale func(t *testing.T, path string)
+		epoch int64
+	}{
+		{"expired", func(t *testing.T, path string) {
+			if l, err := AcquireLease(path, 0, "dead-worker", time.Millisecond); err != nil || l == nil {
+				t.Fatalf("initial acquire: lease=%v err=%v", l, err)
+			}
+			time.Sleep(20 * time.Millisecond) // let it expire
+		}, 2},
+		{"corrupt", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "shard-0.lease")
+			tc.stale(t, path)
+			var second *Lease
+			ran := false
+			claimRaceHook = func() {
+				claimRaceHook = nil // the second thief runs unhooked
+				ran = true
+				l, err := AcquireLease(path, 0, "thief-b", time.Minute)
+				if err != nil {
+					t.Errorf("thief-b: %v", err)
+				}
+				second = l
+			}
+			defer func() { claimRaceHook = nil }()
+			first, err := AcquireLease(path, 0, "thief-a", time.Minute)
+			if err != nil {
+				t.Fatalf("thief-a: %v", err)
+			}
+			if !ran {
+				t.Fatal("the steal never reached the race hook")
+			}
+			var won []*Lease
+			for _, l := range []*Lease{first, second} {
+				if l != nil {
+					won = append(won, l)
+				}
+			}
+			if len(won) != 1 {
+				t.Fatalf("%d thieves confirmed epoch %d, want exactly 1", len(won), tc.epoch)
+			}
+			if won[0].Epoch != tc.epoch {
+				t.Errorf("winner %s holds epoch %d, want %d", won[0].Owner, won[0].Epoch, tc.epoch)
+			}
+			got, err := readLease(path)
+			if err != nil || got.Owner != won[0].Owner || got.Epoch != won[0].Epoch {
+				t.Fatalf("lease file names %q epoch %d (err %v), winner %q", got.Owner, got.Epoch, err, won[0].Owner)
+			}
+		})
+	}
+}
+
+// TestLeaseStealBacksOffWhileLocked: a thief that finds another
+// holding the sidecar lock mid-steal backs off without touching the
+// lease, and steals once the lock is free.
+func TestLeaseStealBacksOffWhileLocked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-0.lease")
+	if l, err := AcquireLease(path, 0, "dead-worker", time.Millisecond); err != nil || l == nil {
+		t.Fatalf("initial acquire: lease=%v err=%v", l, err)
+	}
+	time.Sleep(20 * time.Millisecond) // let it expire
+	unlock, err := lockPath(path + ".steal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, err := AcquireLease(path, 0, "thief", time.Minute); err != nil || l != nil {
+		unlock()
+		t.Fatalf("steal under another's lock: lease=%v err=%v, want nil,nil", l, err)
+	}
+	if got, err := readLease(path); err != nil || got.Owner != "dead-worker" {
+		unlock()
+		t.Fatalf("lease after a blocked steal: owner=%q err=%v, want dead-worker", got.Owner, err)
+	}
+	unlock()
+	if l, err := AcquireLease(path, 0, "thief", time.Minute); err != nil || l == nil || l.Epoch != 2 {
+		t.Fatalf("steal after unlock: lease=%v err=%v, want epoch 2", l, err)
+	}
+}
+
 // TestLeaseCorruptFileIsClaimable: a torn or garbage lease file is
 // damage, not a claim — the next worker removes it and takes over.
 func TestLeaseCorruptFileIsClaimable(t *testing.T) {

@@ -29,10 +29,18 @@ import (
 //
 // Acquisition is an atomic create: the lease JSON is written to a
 // unique temp file and hard-linked into place — link(2) fails if the
-// path exists, which is the compare-and-swap. A steal removes the
-// expired file first and then verifies ownership by re-reading, so
-// two racing stealers resolve to at most one confirmed winner (and,
-// in the worst interleaving, zero — both back off and retry).
+// path exists, which is the compare-and-swap. Removing a file is not
+// a compare-and-swap, so a steal, which must remove the expired lease
+// before it can link its own, runs under a sidecar lock: an exclusive
+// flock on <lease>.steal, taken without waiting and held across a
+// re-read, the remove, the link and the verifying re-read. A thief
+// that finds the lock held backs off, and the holder removes the file
+// only while it still holds exactly the stale record the thief read,
+// so it never removes a lease another thief has just installed or the
+// owner has just renewed. At most one thief confirms each epoch. The
+// lock dies with its process, so a thief killed mid-steal blocks no
+// one. Fresh claims take the same lock, so a claim made after the
+// owner's Release cannot be removed by a steal already under way.
 
 // leaseRecord is the JSON body of a lease file.
 type leaseRecord struct {
@@ -71,7 +79,6 @@ func AcquireLease(path string, shard int, owner string, ttl time.Duration) (*Lea
 		return nil, fmt.Errorf("journal: lease ttl must be positive")
 	}
 	now := time.Now()
-	epoch := int64(1)
 	cur, err := readLease(path)
 	switch {
 	case err == nil:
@@ -83,31 +90,83 @@ func AcquireLease(path string, shard int, owner string, ttl time.Duration) (*Lea
 		if !cur.expired(now) {
 			return nil, nil // validly held elsewhere
 		}
-		// Expired: steal. Remove the stale file; a racing stealer may
-		// have removed it (or replaced it) already, which the verify
-		// below resolves.
-		epoch = cur.Epoch + 1
-		os.Remove(path)
 	case os.IsNotExist(err):
 		// Unclaimed.
 	default:
 		// Unreadable lease file (torn write, corrupt bytes): treat as
 		// expired damage — remove and claim over it.
+	}
+	return claim(path, shard, owner, now, ttl, cur, err), nil
+}
+
+// claimRaceHook, when non-nil, runs between AcquireLease's read of the
+// lease and the claim that acts on it: for a steal, between the read
+// that found the lease stale and its removal. Tests run a second thief
+// here to pin the one-thief-per-epoch contract; production never sets
+// it.
+var claimRaceHook func()
+
+// claim takes path under the sidecar lock. seen and seenErr are the
+// caller's read: a missing file, an unreadable one, or an expired
+// lease to steal. The file must still read the same once the lock is
+// held; otherwise another worker got there first and claim backs off.
+// It returns nil when the claim did not become ours.
+func claim(path string, shard int, owner string, now time.Time, ttl time.Duration,
+	seen leaseRecord, seenErr error) *Lease {
+	if claimRaceHook != nil {
+		claimRaceHook()
+	}
+	unlock, err := lockPath(path + ".steal")
+	if err != nil {
+		return nil // another thief is mid-steal: unavailable this round
+	}
+	defer unlock()
+	if cur, err := readLease(path); !sameRead(seen, seenErr, cur, err) {
+		return nil
+	}
+	epoch := int64(1)
+	if seenErr == nil {
+		epoch = seen.Epoch + 1
+	}
+	if !os.IsNotExist(seenErr) {
 		os.Remove(path)
 	}
-
 	rec := leaseRecord{Shard: shard, Owner: owner, Epoch: epoch, Expires: now.Add(ttl).UnixMilli()}
 	if err := linkLease(path, rec); err != nil {
-		return nil, nil // lost the race; unavailable this round
+		return nil // lost the race; unavailable this round
 	}
-	// Verify: in a steal race our link may have landed after another
-	// stealer's remove+link cycle removed ours. Only a confirmed read
-	// of our own record makes the claim real.
+	// Verify: the lock orders thieves and claimers, but Release and
+	// BreakLease remove without it. Only a confirmed read of our own
+	// record makes the claim real.
 	got, err := readLease(path)
 	if err != nil || got.Owner != owner || got.Epoch != epoch {
-		return nil, nil
+		return nil
 	}
-	return &Lease{path: path, ttl: ttl, Shard: shard, Owner: owner, Epoch: epoch}, nil
+	return &Lease{path: path, ttl: ttl, Shard: shard, Owner: owner, Epoch: epoch}
+}
+
+// sameRead reports whether two reads of a lease file found it in the
+// same state: both missing, both unreadable, or the same record.
+func sameRead(a leaseRecord, aErr error, b leaseRecord, bErr error) bool {
+	if aErr == nil || bErr == nil {
+		return aErr == nil && bErr == nil && a == b
+	}
+	return os.IsNotExist(aErr) == os.IsNotExist(bErr)
+}
+
+// lockPath takes the exclusive flock of the file at path, creating it,
+// without waiting: ErrLocked means another holder, in this process or
+// another, has it. unlock closes the file, which releases the lock.
+func lockPath(path string) (unlock func(), err error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := lockFile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() { f.Close() }, nil
 }
 
 // renewRaceHook, when non-nil, runs between Renew's write and its
