@@ -191,7 +191,7 @@ func appendArgs(b []byte, args []Value) []byte {
 }
 
 // AppendRef appends v's operand rendering, as Value.Ref returns it, to
-// b.
+// b. Undef falls through to its Ref, a constant.
 func AppendRef(b []byte, v Value) []byte {
 	switch v := v.(type) {
 	case *Const:
@@ -233,5 +233,5 @@ func AppendType(b []byte, t Type) []byte {
 		}
 		return append(b, ')')
 	}
-	return append(b, t.String()...)
+	panic("ir: AppendType: unknown type") // every String method prints through here
 }

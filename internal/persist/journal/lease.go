@@ -36,11 +36,12 @@ import (
 // re-read, the remove, the link and the verifying re-read. A thief
 // that finds the lock held backs off, and the holder removes the file
 // only while it still holds exactly the stale record the thief read,
-// so it never removes a lease another thief has just installed or the
-// owner has just renewed. At most one thief confirms each epoch. The
-// lock dies with its process, so a thief killed mid-steal blocks no
-// one. Fresh claims take the same lock, so a claim made after the
-// owner's Release cannot be removed by a steal already under way.
+// so it never removes a lease another thief has installed, nor one the
+// owner renewed before that re-read. At most one thief confirms each
+// epoch. The lock dies with its process, so a thief killed mid-steal
+// blocks no one. Fresh claims take the same lock, so a claim made
+// after the owner's Release cannot be removed by a steal already under
+// way.
 
 // leaseRecord is the JSON body of a lease file.
 type leaseRecord struct {
