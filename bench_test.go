@@ -11,203 +11,112 @@
 // out. Each benchmark measures the end-to-end cost of regenerating
 // its figure and, on the first iteration, reports the headline
 // numbers through b.Log so `go test -bench . -v` doubles as the
-// experiment harness. The cmd/ tools print the full row-by-row
-// tables.
+// experiment harness. The figure benchmarks print the tables of
+// internal/figures, as the cmd/ tools do row by row.
 package repro
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/abcd"
 	"repro/internal/alias"
-	"repro/internal/andersen"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/csmith"
+	"repro/internal/figures"
 	"repro/internal/harness"
 	"repro/internal/minic"
-	"repro/internal/pdg"
 	"repro/internal/pentagon"
-	"repro/internal/stats"
 )
 
-// evalSuite runs the aa-eval protocol over a suite and returns the
-// merged report. Each iteration recompiles, because Prepare mutates
-// the module into e-SSA form.
-func evalSuite(b *testing.B, progs []corpus.Program, withCF bool) *alias.Report {
+// figureBatch runs a figure the way the figure commands do.
+var figureBatch = figures.Batch{Jobs: runtime.NumCPU()}
+
+// aaeval regenerates an aa-eval table once per iteration.
+func aaeval(b *testing.B, batch figures.Batch, progs []corpus.Program) *figures.AATable {
 	b.Helper()
-	var reports []*alias.Report
-	for _, p := range progs {
-		m, err := minic.Compile(p.Name, p.Source)
-		if err != nil {
-			b.Fatalf("%s: %v", p.Name, err)
+	var t *figures.AATable
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if t, err = figures.AAEval(batch, "", progs); err != nil {
+			b.Fatal(err)
 		}
-		prep := core.Prepare(m, core.PipelineOptions{})
-		ba := alias.NewBasic(m)
-		lt := alias.NewSRAA(prep.LT)
-		analyses := []alias.Analysis{ba, lt, alias.NewChain(ba, lt)}
-		if withCF {
-			analyses = append(analyses, alias.NewChain(ba, andersen.Analyze(m)))
-		}
-		reports = append(reports, alias.Evaluate(m, analyses...))
 	}
-	return alias.MergeReports("suite", reports...)
+	return t
 }
 
 // BenchmarkFig8 regenerates Figure 8: total queries and no-alias
 // answers for LT, BA and BA+LT over the test-suite stand-in. The
 // paper reports LT lifting BA by 9.49% over the whole suite.
 func BenchmarkFig8(b *testing.B) {
-	progs := corpus.TestSuite(30)
-	var rep *alias.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep = evalSuite(b, progs, false)
-	}
-	b.StopTimer()
-	ba := rep.PerAnalysis["BA"]
-	both := rep.PerAnalysis["BA+LT"]
-	gain := 100 * float64(both.No-ba.No) / float64(ba.No)
+	t := aaeval(b, figureBatch, corpus.TestSuite(100))
+	_, queries := t.Sum("BA")
 	b.Logf("Fig8: %d queries; BA %.2f%%, LT %.2f%%, BA+LT %.2f%%; LT lifts BA by %.2f%% (paper: 9.49%%)",
-		ba.Queries, ba.NoAliasPercent(),
-		rep.PerAnalysis["LT"].NoAliasPercent(), both.NoAliasPercent(), gain)
-	if both.No < ba.No {
+		queries, t.Pct("BA"), t.Pct("LT"), t.Pct("BA+LT"), t.Lift())
+	if t.Lift() < 0 {
 		b.Fatal("combination weaker than BA")
 	}
 }
 
 // BenchmarkFig9 regenerates the SPEC 2006 table (Figure 9).
 func BenchmarkFig9(b *testing.B) {
-	progs := corpus.Spec()
-	var rows []string
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, p := range progs {
-			m, err := minic.Compile(p.Name, p.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prep := core.Prepare(m, core.PipelineOptions{})
-			ba := alias.NewBasic(m)
-			lt := alias.NewSRAA(prep.LT)
-			rep := alias.Evaluate(m, ba, lt, alias.NewChain(ba, lt))
-			rows = append(rows, fmt.Sprintf(
-				"%-8s %8d queries  BA %6.2f%%  LT %6.2f%%  BA+LT %6.2f%%",
-				p.Name, rep.PerAnalysis["BA"].Queries,
-				rep.PerAnalysis["BA"].NoAliasPercent(),
-				rep.PerAnalysis["LT"].NoAliasPercent(),
-				rep.PerAnalysis["BA+LT"].NoAliasPercent()))
-		}
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		b.Log("Fig9: " + r)
+	t := aaeval(b, figureBatch, corpus.Spec())
+	for _, r := range t.Rows {
+		b.Logf("Fig9: %-8s %8d queries  BA %6.2f%%  LT %6.2f%%  BA+LT %6.2f%%",
+			r.Name, r.Queries, r.Pct("BA"), r.Pct("LT"), r.Pct("BA+LT"))
 	}
 }
 
 // BenchmarkFig10 regenerates Figure 10: BA versus BA+LT versus BA+CF.
 func BenchmarkFig10(b *testing.B) {
-	progs := corpus.Spec()
-	var rep *alias.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep = evalSuite(b, progs, true)
-	}
-	b.StopTimer()
+	batch := figureBatch
+	batch.Config.WithCF = true
+	t := aaeval(b, batch, corpus.Spec())
 	b.Logf("Fig10 (whole suite): BA %.2f%%  BA+LT %.2f%%  BA+CF %.2f%% — complementary, no clear winner",
-		rep.PerAnalysis["BA"].NoAliasPercent(),
-		rep.PerAnalysis["BA+LT"].NoAliasPercent(),
-		rep.PerAnalysis["BA+CF"].NoAliasPercent())
+		t.Pct("BA"), t.Pct("BA+LT"), t.Pct("BA+CF"))
 }
 
 // BenchmarkFig11 regenerates Figure 11: the linear relation between
-// instruction count and constraint count (paper: R² = 0.992), plus
-// the worklist pops-per-constraint statistic of Section 4.2.
+// instruction count and constraint count over the 50 largest programs
+// (paper: R² = 0.992), plus the worklist pops-per-constraint statistic
+// of Section 4.2.
 func BenchmarkFig11(b *testing.B) {
 	progs := append(corpus.TestSuite(100), corpus.Spec()...)
-	var fit stats.Fit
-	var popsPerCons float64
+	var fig *figures.ScaleTable
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		type sample struct{ instrs, cons, pops int }
-		var samples []sample
-		for _, p := range progs {
-			m, err := minic.Compile(p.Name, p.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prep := core.Prepare(m, core.PipelineOptions{})
-			st := prep.LT.Stats
-			samples = append(samples, sample{st.Instrs, st.Constraints, st.Pops})
-		}
-		// The paper measures its 50 largest benchmarks.
-		sort.Slice(samples, func(i, j int) bool { return samples[i].instrs > samples[j].instrs })
-		samples = samples[:50]
-		var xs, ys []float64
-		pops, cons := 0, 0
-		for _, s := range samples {
-			xs = append(xs, float64(s.instrs))
-			ys = append(ys, float64(s.cons))
-			pops += s.pops
-			cons += s.cons
-		}
-		var err error
-		fit, err = stats.LinearFit(xs, ys)
+		t, err := figures.AAEval(figureBatch, "", progs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		popsPerCons = float64(pops) / float64(cons)
+		if fig, err = figures.Scalability(50, t); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.StopTimer()
 	b.Logf("Fig11: R² = %.3f (paper: 0.992); slope %.3f constraints/instr; pops/constraint = %.2f (paper: ~2.12)",
-		fit.R2, fit.Slope, popsPerCons)
-	if fit.R2 < 0.9 {
-		b.Fatalf("constraints not linear in instructions: R² = %.3f", fit.R2)
+		fig.Fit.R2, fig.Fit.Slope, fig.PopsPerConstraint)
+	if fig.Fit.R2 < 0.9 {
+		b.Fatalf("constraints not linear in instructions: R² = %.3f", fig.Fit.R2)
 	}
 }
 
 // BenchmarkFig12 regenerates Figure 12: PDG memory nodes with BA
-// versus BA+LT on Csmith-style programs (paper: 6.23x more nodes).
+// versus BA+LT on the 120 Csmith-style programs (paper: 6.23x more
+// nodes).
 func BenchmarkFig12(b *testing.B) {
-	type prog struct{ name, src string }
-	var progs []prog
-	for depth := 2; depth <= 7; depth++ {
-		for i := 0; i < 3; i++ {
-			progs = append(progs, prog{
-				name: fmt.Sprintf("d%d-%d", depth, i),
-				src: csmith.Generate(csmith.Config{
-					Seed: int64(depth*100 + i), MaxPtrDepth: depth, Stmts: 120,
-				}),
-			})
-		}
-	}
-	var totBA, totBoth int
-	b.ResetTimer()
+	var t *figures.PDGTable
 	for i := 0; i < b.N; i++ {
-		totBA, totBoth = 0, 0
-		for _, p := range progs {
-			m, err := minic.Compile(p.name, p.src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prep := core.Prepare(m, core.PipelineOptions{})
-			ba := alias.NewBasic(m)
-			ba.UnknownSizes = true
-			ba.Intraprocedural = true
-			both := alias.NewChain(ba, alias.NewSRAAWithRanges(prep.LT, prep.Ranges))
-			totBA += pdg.Build(m, ba).MemNodes
-			totBoth += pdg.Build(m, both).MemNodes
+		var err error
+		if t, err = figures.PDG(figureBatch, "", figures.PerDepth); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
 	b.Logf("Fig12: memory nodes BA %d, BA+LT %d (%.2fx; paper: 6.23x on 120 programs)",
-		totBA, totBoth, float64(totBoth)/float64(totBA))
-	if totBoth <= totBA {
+		t.BA, t.BALT, t.Ratio())
+	if t.BALT <= t.BA {
 		b.Fatal("BA+LT PDG not more precise than BA")
 	}
 }

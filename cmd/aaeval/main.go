@@ -12,31 +12,17 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 
-	"repro/internal/alias"
 	"repro/internal/corpus"
 	"repro/internal/driver"
+	"repro/internal/figures"
 	"repro/internal/harness"
 )
-
-// aaRow is one benchmark's result — and its journaled form, so every
-// field the table printer reads must live here, not in live pipeline
-// state. Diag carries the deterministic degradation summary ("" for a
-// clean run).
-type aaRow struct {
-	Name    string             `json:"name"`
-	Queries int                `json:"queries"`
-	Order   []string           `json:"order"`
-	No      map[string]int     `json:"no"`
-	Pct     map[string]float64 `json:"pct"`
-	Diag    string             `json:"diag,omitempty"`
-}
 
 func main() {
 	os.Exit(run())
@@ -76,7 +62,14 @@ func run() int {
 	}
 	ctx, stop := driver.SignalContext()
 	defer stop()
-	var ck *harness.BatchCheckpoint
+	b := figures.Batch{Ctx: ctx, Jobs: *jobs, Config: harness.Config{
+		Timeout:  *timeout,
+		MaxSteps: *maxIters,
+		Strict:   *strict,
+		WithCF:   *withCF,
+		WithST:   *withST,
+		Cache:    cache,
+	}}
 	if *stateDir != "" {
 		c, err := driver.OpenState(*stateDir, *resume)
 		if err != nil {
@@ -84,125 +77,55 @@ func run() int {
 			return 1
 		}
 		defer c.Close()
-		ck = &harness.BatchCheckpoint{
-			C: c,
-			Encode: func(i int, out *harness.BatchOutcome) (any, error) {
-				return out.Value, nil
-			},
-			Decode: func(i int, data []byte, out *harness.BatchOutcome) error {
-				var r aaRow
-				if err := json.Unmarshal(data, &r); err != nil {
-					return err
-				}
-				out.Value = r
-				return nil
-			},
-		}
+		b.State = c
 	}
 
-	var rows []aaRow
-	var order []string
-	degradedBenchmarks := 0
-	items := make([]harness.BatchItem, len(progs))
-	for i, p := range progs {
-		items[i] = harness.BatchItem{Name: p.Name, Src: p.Source}
-	}
-	cfg := harness.Config{
-		Timeout:  *timeout,
-		MaxSteps: *maxIters,
-		Strict:   *strict,
-		WithCF:   *withCF,
-		WithST:   *withST,
-		Cache:    cache,
-	}
-	exit := 0
-	_, completed, runErr := harness.RunBatchCtx(ctx, cfg, *jobs, items, ck,
-		// Worker side: evaluation fans out with the analysis; the row
-		// is fully built here so it can be journaled.
-		func(i int, out *harness.BatchOutcome) {
-			if out.Err != nil {
-				return
-			}
-			m := out.Res.Module
-			ba := alias.NewBasic(m)
-			lt := alias.NewSRAA(out.Res.LT)
-			analyses := []alias.Analysis{ba, lt, alias.NewChain(ba, lt)}
-			if *withST {
-				analyses = append(analyses, out.Res.ST)
-			}
-			if *withCF {
-				analyses = append(analyses, alias.NewChain(ba, out.Res.CF))
-			}
-			rep := out.Res.Evaluate(analyses...)
-			r := aaRow{Name: out.Name, Order: rep.Order,
-				No: map[string]int{}, Pct: map[string]float64{}}
-			for _, an := range rep.Order {
-				c := rep.PerAnalysis[an]
-				r.Queries = c.Queries
-				r.Pct[an] = c.NoAliasPercent()
-				r.No[an] = c.No
-			}
-			if hr := out.Pipe.Report(); !hr.Ok() {
-				r.Diag = hr.Summary()
-			}
-			out.Value = r
-		},
-		// Serial side, in input order: collect rows and diagnostics.
-		func(i int, out *harness.BatchOutcome) {
-			if out.Err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", out.Name, out.Err)
-				exit = 1
-				return
-			}
-			r := out.Value.(aaRow)
-			if r.Diag != "" {
-				degradedBenchmarks++
-				fmt.Fprintf(os.Stderr, "%s: degraded\n%s", r.Name, r.Diag)
-			}
-			order = r.Order
-			rows = append(rows, r)
-		})
-	if runErr != nil {
-		if *stateDir != "" {
-			driver.Resumable("aaeval", completed, len(items), *stateDir)
-		} else {
-			fmt.Fprintf(os.Stderr, "aaeval: interrupted at %d/%d; rerun with -state DIR to make runs resumable\n",
-				completed, len(items))
-		}
+	t, err := figures.AAEval(b, "", progs)
+	var ie *figures.Interrupted
+	if errors.As(err, &ie) {
+		driver.Resumable("aaeval", ie.Done, ie.Total, *stateDir)
 		return driver.ExitInterrupted
 	}
-	if exit != 0 {
-		return exit
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	degradedBenchmarks := 0
+	for _, r := range t.Rows {
+		if r.Diag != "" {
+			degradedBenchmarks++
+			fmt.Fprintf(os.Stderr, "%s: degraded\n%s", r.Name, r.Diag)
+		}
 	}
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "cache: %s\n", cache.Stats())
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Queries < rows[j].Queries })
+	rows := t.ByQueries()
 
 	if *csv {
 		fmt.Print("benchmark,queries")
-		for _, an := range order {
+		for _, an := range t.Order {
 			fmt.Printf(",%s_no,%s_pct", an, an)
 		}
 		fmt.Println()
 		for _, r := range rows {
 			fmt.Printf("%s,%d", r.Name, r.Queries)
-			for _, an := range order {
-				fmt.Printf(",%d,%.2f", r.No[an], r.Pct[an])
+			for _, an := range t.Order {
+				fmt.Printf(",%d,%.2f", r.No[an], r.Pct(an))
 			}
 			fmt.Println()
 		}
 		return 0
 	}
 	fmt.Printf("%-28s %10s", "benchmark", "queries")
-	for _, an := range order {
+	for _, an := range t.Order {
 		fmt.Printf(" %9s", an)
 	}
 	fmt.Println()
 	for _, r := range rows {
 		fmt.Printf("%-28s %10d", r.Name, r.Queries)
-		for _, an := range order {
-			fmt.Printf(" %8.2f%%", r.Pct[an])
+		for _, an := range t.Order {
+			fmt.Printf(" %8.2f%%", r.Pct(an))
 		}
 		fmt.Println()
 	}

@@ -8,135 +8,27 @@
 //
 // Durability: every output file is buffered in memory and written
 // atomically at the end of its phase — a killed run never leaves a
-// half-written CSV. With -state DIR each program's phase result is
-// journaled as it completes (phases namespace the journal, since the
-// same corpus recurs across phases), so rerunning with -resume skips
-// everything already done and emits identical outputs.
+// half-written CSV. With -state DIR each program's row is journaled
+// as it completes, under its phase's prefix, so rerunning with -resume
+// skips everything already done and emits identical outputs.
 package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
-	"repro/internal/alias"
 	"repro/internal/corpus"
-	"repro/internal/csmith"
 	"repro/internal/driver"
+	"repro/internal/figures"
 	"repro/internal/harness"
 	"repro/internal/persist"
-	"repro/internal/persist/journal"
-	"repro/internal/stats"
 )
-
-// hcfg carries the hardening flags — and the shared memo cache — into
-// every per-program pipeline.
-var hcfg harness.Config
-
-// batchJobs is how many programs each phase analyzes concurrently.
-var batchJobs int
-
-// runCtx, state, and stateDirName thread the interrupt context and
-// the checkpoint journal into every phase.
-var (
-	runCtx       = context.Background()
-	state        *journal.Checkpoint
-	stateDirName string
-)
-
-// batchAnalyze pushes a phase's programs through the hardened driver,
-// fanning them across batchJobs workers. eval, when non-nil, runs on
-// the worker right after analysis (evaluation protocols and PDG
-// construction parallelize with it) and its result — which must be
-// JSON-marshalable so it can be journaled — lands in out.Value,
-// decoded back through decode on a resumed run. emit runs serially in
-// input order: a frontend or strict-mode failure is fatal, a degraded
-// run is noted on stderr and its conservative results are used as-is.
-// The phases share hcfg's cache, so later phases that revisit the
-// same corpus mostly rebind memoized artifacts instead of re-solving.
-// On interruption the process checkpoints and exits 130.
-func batchAnalyze(phase string, items []harness.BatchItem, withCF bool,
-	eval func(*harness.Result) any,
-	decode func([]byte) (any, error),
-	emit func(i int, out *harness.BatchOutcome)) {
-	cfg := hcfg
-	cfg.WithCF = withCF
-	var ck *harness.BatchCheckpoint
-	if state != nil {
-		ck = &harness.BatchCheckpoint{
-			C:      state,
-			Prefix: phase + ":",
-			Encode: func(i int, out *harness.BatchOutcome) (any, error) {
-				return out.Value, nil
-			},
-			Decode: func(i int, data []byte, out *harness.BatchOutcome) error {
-				v, err := decode(data)
-				if err != nil {
-					return err
-				}
-				out.Value = v
-				return nil
-			},
-		}
-	}
-	_, completed, err := harness.RunBatchCtx(runCtx, cfg, batchJobs, items, ck,
-		func(i int, out *harness.BatchOutcome) {
-			if out.Err == nil && eval != nil {
-				out.Value = eval(out.Res)
-			}
-		},
-		func(i int, out *harness.BatchOutcome) {
-			if out.Err != nil {
-				fatal(out.Err)
-			}
-			if !out.Replayed {
-				if rep := out.Pipe.Report(); !rep.Ok() {
-					fmt.Fprintf(os.Stderr, "%s: degraded\n%s", out.Name, rep)
-					if hcfg.Strict {
-						os.Exit(1)
-					}
-				}
-			}
-			emit(i, out)
-		})
-	if err != nil {
-		if stateDirName != "" {
-			driver.Resumable("artifact", completed, len(items), stateDirName)
-			fmt.Fprintf(os.Stderr, "artifact: phase %s checkpointed\n", phase)
-		} else {
-			fmt.Fprintf(os.Stderr, "artifact: interrupted in phase %s at %d/%d; rerun with -state DIR to make runs resumable\n",
-				phase, completed, len(items))
-		}
-		os.Exit(driver.ExitInterrupted)
-	}
-}
-
-func corpusItems(progs []corpus.Program) []harness.BatchItem {
-	items := make([]harness.BatchItem, len(progs))
-	for i, p := range progs {
-		items[i] = harness.BatchItem{Name: p.Name, Src: p.Source}
-	}
-	return items
-}
-
-// decodeInto builds a decode callback that unmarshals a journal
-// record into a fresh T.
-func decodeInto[T any]() func([]byte) (any, error) {
-	return func(data []byte) (any, error) {
-		var v T
-		if err := json.Unmarshal(data, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
 
 func main() {
 	out := flag.String("out", "results", "output directory for CSV files")
@@ -149,24 +41,46 @@ func main() {
 	stateDir := flag.String("state", "", "checkpoint directory: journal per-program results so a killed run can resume")
 	resume := flag.Bool("resume", false, "with -state: reuse the existing journal, skipping completed work")
 	flag.Parse()
-	hcfg = harness.Config{Timeout: *timeout, MaxSteps: *maxIters, Strict: *strict}
 	cache, err := driver.OpenCache(*useCache, *cacheDir)
 	if err != nil {
 		fatal(err)
 	}
-	hcfg.Cache = cache
-	batchJobs = *jobs
 	sigCtx, stop := driver.SignalContext()
 	defer stop()
-	runCtx = sigCtx
+	// The phases share the cache, so functions that recur within and
+	// across the corpora rebind memoized artifacts.
+	b := figures.Batch{Ctx: sigCtx, Jobs: *jobs, Config: harness.Config{
+		Timeout: *timeout, MaxSteps: *maxIters, Strict: *strict, Cache: cache,
+	}}
 	if *stateDir != "" {
-		stateDirName = *stateDir
 		c, err := driver.OpenState(*stateDir, *resume)
 		if err != nil {
 			fatal(err)
 		}
 		defer c.Close()
-		state = c
+		b.State = c
+	}
+	// check ends the run on a failed phase. Every completed row is
+	// already journaled, so an interrupted phase exits 130 at once.
+	check := func(phase string, err error) {
+		var ie *figures.Interrupted
+		if errors.As(err, &ie) {
+			driver.Resumable("artifact: phase "+phase, ie.Done, ie.Total, *stateDir)
+			os.Exit(driver.ExitInterrupted)
+		}
+		if err != nil {
+			fatal(err)
+		}
+	}
+	// degraded notes a degraded program on stderr; its conservative
+	// results are used as-is unless -strict.
+	degraded := func(name, diag string) {
+		if diag != "" {
+			fmt.Fprintf(os.Stderr, "%s: degraded\n%s", name, diag)
+			if *strict {
+				os.Exit(1)
+			}
+		}
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
@@ -190,183 +104,77 @@ func main() {
 
 	// --- Figures 9 and 10: the SPEC table with CF. ---
 	note("\n[1/4] SPEC suite (Figures 9 and 10)...")
+	b.Config.WithCF = true
+	spec, err := figures.AAEval(b, "spec:", corpus.Spec())
+	check("spec", err)
+	b.Config.WithCF = false
 	var f9 bytes.Buffer
 	fmt.Fprintln(&f9, "benchmark,queries,ba_pct,lt_pct,balt_pct,bacf_pct")
-	type specRow struct {
-		Name               string `json:"name,omitempty"`
-		Queries            int
-		BA, LT, BALT, BACF float64
+	for _, r := range spec.Rows {
+		degraded(r.Name, r.Diag)
+		fmt.Fprintf(&f9, "%s,%d,%.2f,%.2f,%.2f,%.2f\n",
+			r.Name, r.Queries, r.Pct("BA"), r.Pct("LT"), r.Pct("BA+LT"), r.Pct("BA+CF"))
 	}
-	var specRows []specRow
-	batchAnalyze("spec", corpusItems(corpus.Spec()), true,
-		func(res *harness.Result) any {
-			ba := alias.NewBasic(res.Module)
-			lt := alias.NewSRAA(res.LT)
-			rep := res.Evaluate(ba, lt,
-				alias.NewChain(ba, lt), alias.NewChain(ba, res.CF))
-			return specRow{
-				Queries: rep.PerAnalysis["BA"].Queries,
-				BA:      rep.PerAnalysis["BA"].NoAliasPercent(),
-				LT:      rep.PerAnalysis["LT"].NoAliasPercent(),
-				BALT:    rep.PerAnalysis["BA+LT"].NoAliasPercent(),
-				BACF:    rep.PerAnalysis["BA+CF"].NoAliasPercent(),
-			}
-		},
-		decodeInto[specRow](),
-		func(i int, out *harness.BatchOutcome) {
-			r := out.Value.(specRow)
-			r.Name = out.Name
-			specRows = append(specRows, r)
-			fmt.Fprintf(&f9, "%s,%d,%.2f,%.2f,%.2f,%.2f\n",
-				r.Name, r.Queries, r.BA, r.LT, r.BALT, r.BACF)
-		})
 	writeOut("fig9_fig10_spec.csv", f9.Bytes())
-	for _, r := range specRows {
+	for _, r := range spec.Rows {
 		switch r.Name {
 		case "lbm":
-			note("  lbm: LT %.1f%% > BA %.1f%% (paper: 10.15 > 5.90)", r.LT, r.BA)
+			note("  lbm: LT %.1f%% > BA %.1f%% (paper: 10.15 > 5.90)", r.Pct("LT"), r.Pct("BA"))
 		case "gobmk":
-			note("  gobmk: BA+LT %.1f%% vs BA %.1f%% (paper: 63.33 vs 48.49)", r.BALT, r.BA)
+			note("  gobmk: BA+LT %.1f%% vs BA %.1f%% (paper: 63.33 vs 48.49)", r.Pct("BA+LT"), r.Pct("BA"))
 		case "omnetpp":
-			note("  omnetpp: BA+CF %.1f%% vs BA+LT %.1f%% (paper: ~3x)", r.BACF, r.BALT)
+			note("  omnetpp: BA+CF %.1f%% vs BA+LT %.1f%% (paper: ~3x)", r.Pct("BA+CF"), r.Pct("BA+LT"))
 		}
 	}
 
 	// --- Figure 8: the test-suite sweep. ---
 	note("\n[2/4] test-suite sweep (Figure 8)...")
+	suite, err := figures.AAEval(b, "testsuite:", corpus.TestSuite(100))
+	check("testsuite", err)
 	var f8 bytes.Buffer
 	fmt.Fprintln(&f8, "benchmark,queries,ba_no,lt_no,balt_no")
-	type tsRow struct {
-		Queries      int
-		BA, LT, Both int
+	for _, r := range suite.Rows {
+		degraded(r.Name, r.Diag)
+		fmt.Fprintf(&f8, "%s,%d,%d,%d,%d\n", r.Name, r.Queries, r.No["BA"], r.No["LT"], r.No["BA+LT"])
 	}
-	var totBA, totLT, totBoth int
-	batchAnalyze("testsuite", corpusItems(corpus.TestSuite(100)), false,
-		func(res *harness.Result) any {
-			ba := alias.NewBasic(res.Module)
-			lt := alias.NewSRAA(res.LT)
-			rep := res.Evaluate(ba, lt, alias.NewChain(ba, lt))
-			cb, cl, cc := rep.PerAnalysis["BA"], rep.PerAnalysis["LT"], rep.PerAnalysis["BA+LT"]
-			return tsRow{Queries: cb.Queries, BA: cb.No, LT: cl.No, Both: cc.No}
-		},
-		decodeInto[tsRow](),
-		func(i int, out *harness.BatchOutcome) {
-			r := out.Value.(tsRow)
-			totBA += r.BA
-			totLT += r.LT
-			totBoth += r.Both
-			fmt.Fprintf(&f8, "%s,%d,%d,%d,%d\n", out.Name, r.Queries, r.BA, r.LT, r.Both)
-		})
 	writeOut("fig8_testsuite.csv", f8.Bytes())
-	_ = totLT
-	note("  suite-wide: LT lifts BA by %.2f%% (paper: 9.49%%)",
-		100*float64(totBoth-totBA)/float64(totBA))
+	note("  suite-wide: LT lifts BA by %.2f%% (paper: 9.49%%)", suite.Lift())
 
-	// --- Figure 11 + Section 4.2. ---
+	// --- Figure 11 + Section 4.2, from the solver statistics of the
+	// two phases above. ---
 	note("\n[3/4] scalability (Figure 11)...")
-	var f11 bytes.Buffer
-	fmt.Fprintln(&f11, "benchmark,instructions,constraints,pops,vars")
-	type sample struct {
-		Name                      string `json:"name,omitempty"`
-		Instrs, Cons, Pops, Nvars int
-		SetSizes                  map[int]int `json:",omitempty"`
-	}
-	var samples []sample
-	sizeDist := map[int]int{}
-	// This phase re-analyzes the corpus of the previous two; with the
-	// shared cache the solves are mostly artifact rebinds. The solver
-	// statistics move to the worker so they can be journaled.
-	batchAnalyze("scalability", corpusItems(append(corpus.TestSuite(100), corpus.Spec()...)), false,
-		func(res *harness.Result) any {
-			st := res.LT.Stats
-			return sample{Instrs: st.Instrs, Cons: st.Constraints,
-				Pops: st.Pops, Nvars: st.Vars, SetSizes: st.SetSizes}
-		},
-		decodeInto[sample](),
-		func(i int, out *harness.BatchOutcome) {
-			s := out.Value.(sample)
-			s.Name = out.Name
-			samples = append(samples, s)
-			for k, v := range s.SetSizes {
-				sizeDist[k] += v
-			}
-		})
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].Instrs > samples[j].Instrs })
-	samples = samples[:50]
-	var xs, ys []float64
-	for _, s := range samples {
-		fmt.Fprintf(&f11, "%s,%d,%d,%d,%d\n", s.Name, s.Instrs, s.Cons, s.Pops, s.Nvars)
-		xs = append(xs, float64(s.Instrs))
-		ys = append(ys, float64(s.Cons))
-	}
-	writeOut("fig11_scalability.csv", f11.Bytes())
-	fit, err := stats.LinearFit(xs, ys)
+	scale, err := figures.Scalability(50, suite, spec)
 	if err != nil {
 		fatal(err)
 	}
-	note("  R² = %.3f (paper: 0.992)", fit.R2)
-	small, total := 0, 0
-	for k, v := range sizeDist {
-		total += v
-		if k <= 2 {
-			small += v
-		}
+	var f11 bytes.Buffer
+	fmt.Fprintln(&f11, "benchmark,instructions,constraints,pops,vars")
+	for _, r := range scale.Rows {
+		fmt.Fprintf(&f11, "%s,%d,%d,%d,%d\n", r.Name, r.LT.Instrs, r.LT.Constraints, r.LT.Pops, r.LT.Vars)
 	}
-	note("  LT sets with <= 2 elements: %.1f%% (paper: >95%%)",
-		100*float64(small)/float64(total))
+	writeOut("fig11_scalability.csv", f11.Bytes())
+	note("  R² = %.3f (paper: 0.992)", scale.Fit.R2)
+	note("  LT sets with <= 2 elements: %.1f%% (paper: >95%%)", scale.SmallSets)
 
 	// --- Figure 12. ---
 	note("\n[4/4] PDG memory nodes (Figure 12)...")
+	pdg, err := figures.PDG(b, "pdg:", figures.PerDepth)
+	check("pdg", err)
 	var f12 bytes.Buffer
 	fmt.Fprintln(&f12, "program,depth,ba_nodes,balt_nodes")
-	type pdgRow struct {
-		Ok       bool
-		BA, Both int
-	}
-	pdgBA, pdgBoth := 0, 0
-	var pdgItems []harness.BatchItem
-	var pdgDepths []int
-	for depth := 2; depth <= 7; depth++ {
-		for i := 0; i < 20; i++ {
-			pdgItems = append(pdgItems, harness.BatchItem{
-				Name: fmt.Sprintf("rand-d%d-%02d", depth, i),
-				Src: csmith.Generate(csmith.Config{
-					Seed: int64(depth*1000 + i), MaxPtrDepth: depth, Stmts: 120,
-				}),
-			})
-			pdgDepths = append(pdgDepths, depth)
+	for _, r := range pdg.Rows {
+		degraded(r.Name, r.Diag)
+		if r.Failed {
+			fmt.Fprintf(os.Stderr, "%s: pdg construction degraded, program skipped\n", r.Name)
+			continue
 		}
+		fmt.Fprintf(&f12, "%s,%d,%d,%d\n", r.Name, r.Depth, r.BA, r.BALT)
 	}
-	batchAnalyze("pdg", pdgItems, false,
-		func(res *harness.Result) any {
-			ba := alias.NewBasic(res.Module)
-			ba.UnknownSizes = true
-			ba.Intraprocedural = true
-			both := alias.NewChain(ba, alias.NewSRAAWithRanges(res.LT, res.Ranges))
-			gBA, errA := res.PDG(ba)
-			gBoth, errB := res.PDG(both)
-			if errA != nil || errB != nil {
-				return pdgRow{}
-			}
-			return pdgRow{Ok: true, BA: gBA.MemNodes, Both: gBoth.MemNodes}
-		},
-		decodeInto[pdgRow](),
-		func(i int, out *harness.BatchOutcome) {
-			r := out.Value.(pdgRow)
-			if !r.Ok {
-				fmt.Fprintf(os.Stderr, "%s: pdg construction degraded, program skipped\n", out.Name)
-				return
-			}
-			pdgBA += r.BA
-			pdgBoth += r.Both
-			fmt.Fprintf(&f12, "%s,%d,%d,%d\n", out.Name, pdgDepths[i], r.BA, r.Both)
-		})
 	writeOut("fig12_pdg.csv", f12.Bytes())
-	note("  memory nodes: BA %d, BA+LT %d (%.2fx; paper: 6.23x)",
-		pdgBA, pdgBoth, float64(pdgBoth)/float64(pdgBA))
+	note("  memory nodes: BA %d, BA+LT %d (%.2fx; paper: 6.23x)", pdg.BA, pdg.BALT, pdg.Ratio())
 
-	if hcfg.Cache != nil {
-		fmt.Fprintf(os.Stderr, "cache: %s\n", hcfg.Cache.Stats())
+	if cache != nil {
+		fmt.Fprintf(os.Stderr, "cache: %s\n", cache.Stats())
 	}
 	note("\ndone in %s; CSVs in %s/", time.Since(start).Round(time.Millisecond), *out)
 	writeOut("summary.txt", summary.Bytes())

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -94,20 +93,7 @@ func run() int {
 			return 1
 		}
 		defer c.Close()
-		ck = &harness.BatchCheckpoint{
-			C: c,
-			Encode: func(i int, out *harness.BatchOutcome) (any, error) {
-				return out.Value, nil
-			},
-			Decode: func(i int, data []byte, out *harness.BatchOutcome) error {
-				var v verdict
-				if err := json.Unmarshal(data, &v); err != nil {
-					return err
-				}
-				out.Value = v
-				return nil
-			},
-		}
+		ck = harness.NewBatchCheckpoint[verdict](c, "")
 	}
 
 	crashes := 0
@@ -154,12 +140,7 @@ func run() int {
 			}
 		})
 	if runErr != nil {
-		if *stateDir != "" {
-			driver.Resumable("csmith", completed, *runs, *stateDir)
-		} else {
-			fmt.Fprintf(os.Stderr, "csmith: interrupted at %d/%d; rerun with -state DIR to make sweeps resumable\n",
-				completed, *runs)
-		}
+		driver.Resumable("csmith", completed, *runs, *stateDir)
 		return driver.ExitInterrupted
 	}
 	if cache != nil {

@@ -107,12 +107,7 @@ func run() int {
 	if res != nil && res.Interrupted {
 		// The journal is flushed record by record; everything counted
 		// in Completed survives the exit.
-		if *stateDir != "" {
-			driver.Resumable("fuzz", res.Completed, *n, *stateDir)
-		} else {
-			fmt.Fprintf(os.Stderr, "fuzz: interrupted at %d/%d; rerun with -state DIR to make runs resumable\n",
-				res.Completed, *n)
-		}
+		driver.Resumable("fuzz", res.Completed, *n, *stateDir)
 		return driver.ExitInterrupted
 	}
 	if err != nil {

@@ -2,7 +2,9 @@
 // statistics of Section 4.2 over the corpus: instructions vs
 // constraints with a least-squares fit (the paper reports R² = 0.992),
 // worklist pops per constraint (~2.12), runtimes, and the LT set size
-// distribution (>95% of sets hold two or fewer elements).
+// distribution (>95% of sets hold two or fewer elements). With -csv
+// the output holds only the CSV rows; the fit and the distribution go
+// to stderr.
 //
 // It reports the paper's statistics, not a performance benchmark:
 // cmd/sraaperf measures the analysis stack end to end and per layer.
@@ -15,14 +17,12 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/driver"
+	"repro/internal/figures"
 	"repro/internal/harness"
 	"repro/internal/persist"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -38,140 +38,69 @@ func main() {
 	outPath := flag.String("o", "", "write the output to this file instead of stdout (atomic: complete file or no file)")
 	flag.Parse()
 
-	// All primary output funnels through one writer: stdout normally,
-	// a buffer flushed atomically to -o so a crash or signal mid-run
-	// can never leave a torn file behind.
-	var out io.Writer = os.Stdout
-	var buf bytes.Buffer
-	if *outPath != "" {
-		out = &buf
-	}
-	flush := func() int {
-		if *outPath != "" {
-			if err := persist.AtomicWriteFile(*outPath, buf.Bytes(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
+	cache, err := driver.OpenCache(*useCache, *cacheDir)
+	check(err)
+	cfg := harness.Config{Timeout: *timeout, MaxSteps: *maxIters, Strict: *strict, Cache: cache}
+	t, err := figures.AAEval(figures.Batch{Config: cfg, Jobs: *jobs}, "",
+		append(corpus.TestSuite(100), corpus.Spec()...))
+	check(err)
+	for _, r := range t.Rows {
+		if r.Diag != "" {
+			fmt.Fprintf(os.Stderr, "%s: degraded (its statistics undercount the full solve)\n%s",
+				r.Name, r.Diag)
 		}
-		return 0
-	}
-
-	code := runFigure11(out, *n, *showSets, *csv, *timeout, *maxIters, *strict, *jobs, *useCache, *cacheDir)
-	if f := flush(); code == 0 && f != 0 {
-		code = f
-	}
-	os.Exit(code)
-}
-
-func runFigure11(out io.Writer, n int, showSets, csv bool, timeout time.Duration, maxIters int, strict bool, jobs int, useCache bool, cacheDir string) int {
-	progs := append(corpus.TestSuite(100), corpus.Spec()...)
-
-	type row struct {
-		name                string
-		instrs, constraints int
-		pops, vars          int
-		elapsed             time.Duration
-	}
-	var rows []row
-	sizeDist := map[int]int{}
-	cache, err := driver.OpenCache(useCache, cacheDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	items := make([]harness.BatchItem, len(progs))
-	for i, p := range progs {
-		items[i] = harness.BatchItem{Name: p.Name, Src: p.Source}
-	}
-	cfg := harness.Config{
-		Timeout: timeout, MaxSteps: maxIters, Strict: strict, Cache: cache,
-	}
-	exit := 0
-	harness.RunBatch(cfg, jobs, items, nil,
-		func(i int, outc *harness.BatchOutcome) {
-			if outc.Err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", outc.Name, outc.Err)
-				exit = 1
-				return
-			}
-			if rep := outc.Pipe.Report(); !rep.Ok() {
-				fmt.Fprintf(os.Stderr, "%s: degraded (its statistics undercount the full solve)\n%s",
-					outc.Name, rep)
-			}
-			st := outc.Res.LT.Stats
-			rows = append(rows, row{
-				name: outc.Name, instrs: st.Instrs, constraints: st.Constraints,
-				pops: st.Pops, vars: st.Vars, elapsed: outc.AnalyzeTime,
-			})
-			for k, v := range st.SetSizes {
-				sizeDist[k] += v
-			}
-		})
-	if exit != 0 {
-		return exit
 	}
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "cache: %s\n", cache.Stats())
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].instrs > rows[j].instrs })
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	// Re-sort ascending for display, as in the paper's figure.
-	sort.Slice(rows, func(i, j int) bool { return rows[i].instrs < rows[j].instrs })
+	fig, err := figures.Scalability(*n, t)
+	check(err)
 
-	var xs, ys []float64
-	totalPops, totalCons := 0, 0
-	if csv {
-		fmt.Fprintln(out, "benchmark,instructions,constraints,pops,vars,elapsed_us")
+	// The output is buffered for -o, which is written atomically, so
+	// a crash or signal mid-run never leaves a torn file. The summary
+	// follows the rows, except in CSV mode, where the output must stay
+	// CSV.
+	var out bytes.Buffer
+	var summary io.Writer = &out
+	if *csv {
+		summary = os.Stderr
+		fmt.Fprintln(&out, "benchmark,instructions,constraints,pops,vars,elapsed_us")
 	} else {
-		fmt.Fprintf(out, "%-28s %12s %12s %10s %8s %10s\n",
+		fmt.Fprintf(&out, "%-28s %12s %12s %10s %8s %10s\n",
 			"benchmark", "instructions", "constraints", "pops", "vars", "elapsed")
 	}
-	for _, r := range rows {
-		xs = append(xs, float64(r.instrs))
-		ys = append(ys, float64(r.constraints))
-		totalPops += r.pops
-		totalCons += r.constraints
-		if csv {
-			fmt.Fprintf(out, "%s,%d,%d,%d,%d,%d\n",
-				r.name, r.instrs, r.constraints, r.pops, r.vars,
-				r.elapsed.Microseconds())
+	// Smallest first, as in the paper's figure.
+	for i := len(fig.Rows) - 1; i >= 0; i-- {
+		r, st := fig.Rows[i], fig.Rows[i].LT
+		if *csv {
+			fmt.Fprintf(&out, "%s,%d,%d,%d,%d,%d\n",
+				r.Name, st.Instrs, st.Constraints, st.Pops, st.Vars, r.Elapsed.Microseconds())
 		} else {
-			fmt.Fprintf(out, "%-28s %12d %12d %10d %8d %10s\n",
-				r.name, r.instrs, r.constraints, r.pops, r.vars, r.elapsed)
+			fmt.Fprintf(&out, "%-28s %12d %12d %10d %8d %10s\n",
+				r.Name, st.Instrs, st.Constraints, st.Pops, st.Vars, r.Elapsed)
 		}
 	}
-	fit, err := stats.LinearFit(xs, ys)
+	fmt.Fprintf(summary, "\nconstraints ≈ %.3f * instructions %+.1f\n", fig.Fit.Slope, fig.Fit.Intercept)
+	fmt.Fprintf(summary, "R² (constraints vs instructions) = %.3f   (paper: 0.992)\n", fig.Fit.R2)
+	fmt.Fprintf(summary, "worklist pops per constraint     = %.2f   (paper: ~2.12)\n", fig.PopsPerConstraint)
+	if *showSets {
+		fmt.Fprintln(summary, "\nLT set size distribution (all programs):")
+		for _, s := range fig.SetSizes {
+			fmt.Fprintf(summary, "  |LT| = %-3d  %7d sets\n", s.Size, s.Sets)
+		}
+		fmt.Fprintf(summary, "sets with <= 2 elements: %.1f%%   (paper: >95%%)\n", fig.SmallSets)
+	}
+	if *outPath == "" {
+		_, err = os.Stdout.Write(out.Bytes())
+	} else {
+		err = persist.AtomicWriteFile(*outPath, out.Bytes(), 0o644)
+	}
+	check(err)
+}
+
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		os.Exit(1)
 	}
-	fmt.Fprintf(out, "\nconstraints ≈ %.3f * instructions %+.1f\n", fit.Slope, fit.Intercept)
-	fmt.Fprintf(out, "R² (constraints vs instructions) = %.3f   (paper: 0.992)\n", fit.R2)
-	if totalCons > 0 {
-		fmt.Fprintf(out, "worklist pops per variable       = %.2f   (paper: ~2.12 per constraint)\n",
-			float64(totalPops)/float64(totalCons))
-	}
-
-	if showSets {
-		fmt.Fprintln(out, "\nLT set size distribution (all programs):")
-		var sizes []int
-		total := 0
-		for k, v := range sizeDist {
-			sizes = append(sizes, k)
-			total += v
-		}
-		sort.Ints(sizes)
-		small := 0
-		for _, k := range sizes {
-			fmt.Fprintf(out, "  |LT| = %-3d  %7d sets\n", k, sizeDist[k])
-			if k <= 2 {
-				small += sizeDist[k]
-			}
-		}
-		fmt.Fprintf(out, "sets with <= 2 elements: %.1f%%   (paper: >95%%)\n",
-			100*float64(small)/float64(total))
-	}
-	return 0
 }

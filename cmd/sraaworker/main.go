@@ -150,21 +150,8 @@ func run() int {
 					sub = append(sub, items[i])
 				}
 			}
-			bck := &harness.BatchCheckpoint{
-				C: ck,
-				Encode: func(i int, out *harness.BatchOutcome) (any, error) {
-					return out.Value, nil
-				},
-				Decode: func(i int, data []byte, out *harness.BatchOutcome) error {
-					var v verdict
-					if err := json.Unmarshal(data, &v); err != nil {
-						return err
-					}
-					out.Value = v
-					return nil
-				},
-			}
-			_, _, err := harness.RunBatchCtx(sctx, cfg, *jobs, sub, bck,
+			_, _, err := harness.RunBatchCtx(sctx, cfg, *jobs, sub,
+				harness.NewBatchCheckpoint[verdict](ck, ""),
 				func(i int, out *harness.BatchOutcome) {
 					out.Value = distill(out)
 					// Fold hard errors into the verdict so they journal:

@@ -3,8 +3,6 @@ package corpus
 import (
 	"testing"
 
-	"repro/internal/alias"
-	"repro/internal/andersen"
 	"repro/internal/core"
 	"repro/internal/minic"
 )
@@ -54,130 +52,5 @@ func TestTestSuiteDeterministic(t *testing.T) {
 		if a[i].Source != b[i].Source {
 			t.Fatalf("program %d differs between calls", i)
 		}
-	}
-}
-
-// TestSpecShapes verifies the headline comparative shapes of Figure 9
-// on a few key workloads: LT beats BA on lbm; BA beats LT on namd;
-// the combination improves BA substantially on gobmk.
-func TestSpecShapes(t *testing.T) {
-	reports := map[string]*alias.Report{}
-	for _, p := range Spec() {
-		switch p.Name {
-		case "lbm", "namd", "gobmk":
-		default:
-			continue
-		}
-		m := minic.MustCompile(p.Name, p.Source)
-		prep := core.Prepare(m, core.PipelineOptions{})
-		ba := alias.NewBasic(m)
-		lt := alias.NewSRAA(prep.LT)
-		reports[p.Name] = alias.Evaluate(m, ba, lt, alias.NewChain(ba, lt))
-	}
-	pct := func(name, an string) float64 {
-		return reports[name].PerAnalysis[an].NoAliasPercent()
-	}
-	if pct("lbm", "LT") <= pct("lbm", "BA") {
-		t.Errorf("lbm: LT (%.1f%%) should beat BA (%.1f%%)",
-			pct("lbm", "LT"), pct("lbm", "BA"))
-	}
-	if pct("namd", "BA") <= pct("namd", "LT") {
-		t.Errorf("namd: BA (%.1f%%) should beat LT (%.1f%%)",
-			pct("namd", "BA"), pct("namd", "LT"))
-	}
-	if gain := pct("gobmk", "BA+LT") - pct("gobmk", "BA"); gain < 5 {
-		t.Errorf("gobmk: BA+LT gain over BA = %.1f points, want >= 5", gain)
-	}
-	for name := range reports {
-		if pct(name, "BA+LT") < pct(name, "BA") || pct(name, "BA+LT") < pct(name, "LT") {
-			t.Errorf("%s: combination weaker than a component", name)
-		}
-	}
-}
-
-// TestFig9Regression pins the whole measured Figure 9 table (the
-// values EXPERIMENTS.md documents) within a generous tolerance, so
-// corpus or analysis drift is caught immediately.
-func TestFig9Regression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table in -short mode")
-	}
-	expected := map[string][3]float64{ // BA, LT, BA+LT (measured)
-		"lbm":     {6.60, 13.40, 19.49},
-		"mcf":     {14.69, 10.29, 16.06},
-		"astar":   {46.84, 16.57, 49.14},
-		"libq":    {52.09, 4.62, 53.42},
-		"sjeng":   {73.40, 2.96, 74.60},
-		"milc":    {32.09, 23.22, 44.44},
-		"soplex":  {24.54, 13.49, 26.88},
-		"bzip2":   {23.09, 23.96, 28.34},
-		"hmmer":   {10.43, 6.34, 11.25},
-		"gobmk":   {44.44, 20.63, 57.48},
-		"namd":    {29.18, 1.65, 29.41},
-		"omnetpp": {19.08, 0.67, 19.20},
-		"h264ref": {14.15, 1.98, 14.62},
-		"perl":    {13.09, 5.14, 13.48},
-		"dealII":  {72.51, 18.89, 72.95},
-		"gcc":     {6.13, 2.27, 6.73},
-	}
-	const tol = 5.0
-	for _, p := range Spec() {
-		want, ok := expected[p.Name]
-		if !ok {
-			t.Errorf("unexpected workload %s", p.Name)
-			continue
-		}
-		m := minic.MustCompile(p.Name, p.Source)
-		prep := core.Prepare(m, core.PipelineOptions{})
-		ba := alias.NewBasic(m)
-		lt := alias.NewSRAA(prep.LT)
-		rep := alias.Evaluate(m, ba, lt, alias.NewChain(ba, lt))
-		got := [3]float64{
-			rep.PerAnalysis["BA"].NoAliasPercent(),
-			rep.PerAnalysis["LT"].NoAliasPercent(),
-			rep.PerAnalysis["BA+LT"].NoAliasPercent(),
-		}
-		for i, label := range []string{"BA", "LT", "BA+LT"} {
-			if got[i] < want[i]-tol || got[i] > want[i]+tol {
-				t.Errorf("%s %s drifted: %.2f%%, documented %.2f%% (±%.0f)",
-					p.Name, label, got[i], want[i], tol)
-			}
-		}
-	}
-}
-
-// TestFig10Shapes verifies the paper's Figure 10 claims: BA+LT beats
-// BA+CF on lbm, milc and gobmk, while BA+CF is about three times more
-// precise on omnetpp.
-func TestFig10Shapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Figure 10 evaluation")
-	}
-	pcts := map[string]map[string]float64{}
-	for _, p := range Spec() {
-		switch p.Name {
-		case "lbm", "milc", "gobmk", "omnetpp":
-		default:
-			continue
-		}
-		m := minic.MustCompile(p.Name, p.Source)
-		prep := core.Prepare(m, core.PipelineOptions{})
-		ba := alias.NewBasic(m)
-		lt := alias.NewSRAA(prep.LT)
-		cf := andersen.Analyze(m)
-		rep := alias.Evaluate(m, alias.NewChain(ba, lt), alias.NewChain(ba, cf))
-		pcts[p.Name] = map[string]float64{
-			"BA+LT": rep.PerAnalysis["BA+LT"].NoAliasPercent(),
-			"BA+CF": rep.PerAnalysis["BA+CF"].NoAliasPercent(),
-		}
-	}
-	for _, name := range []string{"lbm", "milc", "gobmk"} {
-		if pcts[name]["BA+LT"] <= pcts[name]["BA+CF"] {
-			t.Errorf("%s: BA+LT (%.1f%%) should beat BA+CF (%.1f%%)",
-				name, pcts[name]["BA+LT"], pcts[name]["BA+CF"])
-		}
-	}
-	if ratio := pcts["omnetpp"]["BA+CF"] / pcts["omnetpp"]["BA+LT"]; ratio < 2 {
-		t.Errorf("omnetpp: BA+CF/BA+LT = %.2f, want >= 2 (paper reports ~3x)", ratio)
 	}
 }

@@ -184,8 +184,14 @@ func OpenCacheRemote(baseURL, localDir, faultSpec string) (*harness.Cache, *remo
 }
 
 // Resumable prints the canonical interrupted-run epilogue: how much
-// work is durable and the exact flags that continue it.
+// work is durable and the exact flags that continue it, or, for a run
+// without a state directory, how to make the next run resumable.
 func Resumable(prog string, completed, total int, stateDir string) {
+	if stateDir == "" {
+		fmt.Fprintf(os.Stderr, "%s: interrupted at %d/%d; rerun with -state DIR to make runs resumable\n",
+			prog, completed, total)
+		return
+	}
 	fmt.Fprintf(os.Stderr, "%s: interrupted; resumable at %d/%d (rerun with -state %s -resume)\n",
 		prog, completed, total, stateDir)
 }

@@ -26,7 +26,9 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -141,37 +143,47 @@ type BatchOutcome struct {
 	Value       any
 	// Replayed marks an outcome restored from a checkpoint journal
 	// rather than computed this run. Pipe and Res are nil on replayed
-	// outcomes; only Name and whatever Decode reconstructed (typically
-	// Value) are populated.
+	// outcomes; only Name and Value are populated.
 	Replayed bool
 }
 
 // BatchCheckpoint journals per-item completion so a killed batch run
-// can resume without redoing finished work. Encode runs on the worker
-// goroutine immediately after an item completes — it must distill the
-// outcome into a JSON-able value that Decode can later turn back into
-// an equivalent outcome. Items whose pipeline observed a context
-// cancellation, or whose work errored, are never journaled: a resumed
-// run recomputes them, which is what keeps the final report
+// can resume without redoing finished work. The journal holds each
+// completed outcome's Value, so Value must be a JSON-able T that
+// carries everything post reads. Items whose pipeline observed a
+// context cancellation, or whose work errored, are never journaled:
+// a resumed run recomputes them, which is what keeps the final report
 // byte-identical to an uninterrupted run.
 type BatchCheckpoint struct {
-	C *journal.Checkpoint
-	// Prefix namespaces item names inside a shared journal, so
+	c *journal.Checkpoint
+	// prefix namespaces item names inside a shared journal, so
 	// multi-phase drivers that reuse program names across phases
 	// (cmd/artifact) can checkpoint each phase independently.
-	Prefix string
-	// Encode distills a completed outcome for the journal. Returning
-	// an error skips journaling that item (it will be recomputed on
-	// resume) without failing the run.
-	Encode func(i int, out *BatchOutcome) (any, error)
-	// Decode reconstructs a previously journaled outcome. The outcome
-	// arrives with Name set and Replayed true; Decode typically fills
-	// Value. An error discards the journal entry and recomputes the
-	// item.
-	Decode func(i int, data []byte, out *BatchOutcome) error
+	prefix string
+	decode func(data []byte) (any, bool)
 }
 
-func (ck *BatchCheckpoint) key(name string) string { return ck.Prefix + name }
+// NewBatchCheckpoint journals the T each item's work leaves in Value
+// into c under prefix+name, and replays a journaled item as the T it
+// decodes to. A record replays only if it re-encodes to the same
+// bytes: one written for another shape of T (a renamed, added or
+// dropped field) is recomputed, never read as zeros. A nil c yields a
+// nil checkpoint, which journals nothing.
+func NewBatchCheckpoint[T any](c *journal.Checkpoint, prefix string) *BatchCheckpoint {
+	if c == nil {
+		return nil
+	}
+	return &BatchCheckpoint{c: c, prefix: prefix, decode: func(data []byte) (any, bool) {
+		var v T
+		if json.Unmarshal(data, &v) != nil {
+			return nil, false
+		}
+		again, err := json.Marshal(v)
+		return v, err == nil && bytes.Equal(again, data)
+	}}
+}
+
+func (ck *BatchCheckpoint) key(name string) string { return ck.prefix + name }
 
 // interrupted reports whether an outcome was poisoned by context
 // cancellation and therefore describes this (aborted) run rather than
@@ -213,11 +225,12 @@ func RunBatch(cfg Config, jobs int, items []BatchItem,
 // so an interrupted run can never publish or checkpoint results that
 // an uninterrupted run would not have produced.
 //
-// Checkpointing semantics: with ck non-nil, items found in ck.C are
-// replayed via ck.Decode without recomputation, and each item that
-// completes cleanly — ctx still live, no work error, no cancellation
-// recorded in its report — is journaled from the worker immediately,
-// so a SIGKILL loses at most the in-flight items.
+// Checkpointing semantics: with ck non-nil, items found in its
+// journal are replayed as their journaled Value without
+// recomputation, and each item that completes cleanly — ctx still
+// live, no work error, no cancellation recorded in its report — is
+// journaled from the worker immediately, so a SIGKILL loses at most
+// the in-flight items.
 func RunBatchCtx(ctx context.Context, cfg Config, jobs int, items []BatchItem,
 	ck *BatchCheckpoint,
 	work func(i int, out *BatchOutcome),
@@ -243,16 +256,14 @@ func RunBatchCtx(ctx context.Context, cfg Config, jobs int, items []BatchItem,
 	// genuinely pending work.
 	var pending []int
 	for i := range items {
-		if ck != nil && ck.C != nil {
-			if data, ok := ck.C.Done(ck.key(items[i].Name)); ok {
-				out := &BatchOutcome{Name: items[i].Name, Replayed: true}
-				if err := ck.Decode(i, data, out); err == nil {
-					outs[i] = out
+		if ck != nil {
+			// An undecodable entry (schema drift, hand-edited state
+			// dir) is recomputed rather than trusted.
+			if data, ok := ck.c.Done(ck.key(items[i].Name)); ok {
+				if v, ok := ck.decode(data); ok {
+					outs[i] = &BatchOutcome{Name: items[i].Name, Value: v, Replayed: true}
 					continue
 				}
-				// Undecodable entry (schema drift, hand-edited state
-				// dir): recompute rather than trust it.
-				outs[i] = nil
 			}
 		}
 		pending = append(pending, i)
@@ -281,10 +292,8 @@ func RunBatchCtx(ctx context.Context, cfg Config, jobs int, items []BatchItem,
 		// succeeded. Anything else is recomputed on resume.
 		if ctx.Err() == nil && !interrupted(out) && out.Err == nil {
 			atomic.AddInt64(&completed, 1)
-			if ck != nil && ck.C != nil && ck.Encode != nil {
-				if v, err := ck.Encode(i, out); err == nil {
-					ck.C.Record(ck.key(it.Name), v)
-				}
+			if ck != nil && out.Value != nil {
+				ck.c.Record(ck.key(it.Name), out.Value)
 			}
 		}
 	}

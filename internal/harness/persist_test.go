@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -75,24 +73,7 @@ func TestPersistentCacheWarmAcrossReopen(t *testing.T) {
 
 // canonCheckpoint journals each item's canonical output string.
 func canonCheckpoint(c *journal.Checkpoint) *BatchCheckpoint {
-	return &BatchCheckpoint{
-		C: c,
-		Encode: func(i int, out *BatchOutcome) (any, error) {
-			s, ok := out.Value.(string)
-			if !ok {
-				return nil, errors.New("no canonical value")
-			}
-			return s, nil
-		},
-		Decode: func(i int, data []byte, out *BatchOutcome) error {
-			var s string
-			if err := json.Unmarshal(data, &s); err != nil {
-				return err
-			}
-			out.Value = s
-			return nil
-		},
-	}
+	return NewBatchCheckpoint[string](c, "")
 }
 
 // TestCheckpointResumeEquality: a run resumed over a complete journal
@@ -235,5 +216,49 @@ func TestCancelDrainThenResume(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("resume recomputed everything; journal was ignored")
+	}
+}
+
+// TestCheckpointReplaysOnlyItsShape: a journaled record replays only
+// into the shape of value that wrote it. A record of another shape,
+// one whose fields json.Unmarshal would silently leave zero, is
+// recomputed instead.
+func TestCheckpointReplaysOnlyItsShape(t *testing.T) {
+	type row struct {
+		Queries int            `json:"queries"`
+		No      map[string]int `json:"no"`
+	}
+	progs := corpus.TestSuite(3)
+	items := make([]BatchItem, len(progs))
+	for i, p := range progs {
+		items[i] = BatchItem{Name: p.Name, Src: p.Source}
+	}
+	ck, err := journal.OpenCheckpoint(filepath.Join(t.TempDir(), "batch.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	for i, v := range []any{
+		map[string]any{"Queries": 7, "BA": 6.6},                  // unknown field
+		map[string]any{"queries": 7},                             // missing field
+		row{Queries: 7, No: map[string]int{"BA": 1, "BA+LT": 2}}, // its own shape
+	} {
+		if err := ck.Record(items[i].Name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs, _, err := RunBatchCtx(context.Background(), Config{}, 1, items, NewBatchCheckpoint[row](ck, ""),
+		func(i int, out *BatchOutcome) { out.Value = row{Queries: 42} }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantReplay := range []bool{false, false, true} {
+		out := outs[i]
+		if out.Replayed != wantReplay {
+			t.Errorf("%s: replayed = %t, want %t", out.Name, out.Replayed, wantReplay)
+		}
+		if q := out.Value.(row).Queries; (q == 7) != wantReplay {
+			t.Errorf("%s: queries = %d", out.Name, q)
+		}
 	}
 }
