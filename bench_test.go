@@ -484,16 +484,18 @@ func BenchmarkMemoCache(b *testing.B) {
 	}
 	// runPass runs one serial pass and returns its LT stage's time.
 	runPass := func(b *testing.B, cache *harness.Cache) time.Duration {
-		outs := harness.RunBatch(harness.Config{Cache: cache}, 1, items, nil, nil)
 		var lt time.Duration
+		outs := harness.RunBatch(harness.Config{Cache: cache}, 1, items,
+			func(_ int, out *harness.BatchOutcome) {
+				for _, st := range out.Pipe.Report().Timings {
+					if st.Stage == harness.StageLessThan {
+						lt += st.D
+					}
+				}
+			}, nil)
 		for _, out := range outs {
 			if out.Err != nil {
 				b.Fatalf("%s: %v", out.Name, out.Err)
-			}
-			for _, st := range out.Pipe.Report().Timings {
-				if st.Stage == harness.StageLessThan {
-					lt += st.D
-				}
 			}
 		}
 		return lt

@@ -55,7 +55,7 @@ func main() {
 	// The break check lowers to icmp ge; its false edge carries i < j.
 	var iSig, jSig *ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpSigma && !in.OnTrue && in.Cmp.Pred == ir.CmpGE {
+		if in.Op == ir.OpSigma && !in.OnTrue && in.Cmp().Pred == ir.CmpGE {
 			if in.CmpSide == 0 {
 				iSig = in
 			} else {
@@ -93,7 +93,7 @@ func main() {
 			return true
 		}
 		if s, ok := in.Args[1].(*ir.Instr); ok && s.Op == ir.OpSigma &&
-			!s.OnTrue && s.Cmp.Pred == ir.CmpGE {
+			!s.OnTrue && s.Cmp().Pred == ir.CmpGE {
 			swapGeps = append(swapGeps, in)
 		}
 		return true

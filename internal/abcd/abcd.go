@@ -86,14 +86,14 @@ func BuildGraph(f *ir.Func) *Graph {
 			g.exact(in, in.Args[0], 0)
 		case ir.OpSigma:
 			g.exact(in, in.Args[0], 0)
-			rel := in.Cmp.Pred
+			rel := in.Cmp().Pred
 			if in.CmpSide == 1 {
 				rel = rel.Swap()
 			}
 			if !in.OnTrue {
 				rel = rel.Negate()
 			}
-			other := in.Cmp.Args[1-in.CmpSide]
+			other := in.Cmp().Args[1-in.CmpSide]
 			bounds := []ir.Value{other}
 			if sib := sigmaSibling(in); sib != nil {
 				bounds = append(bounds, sib)
@@ -177,7 +177,7 @@ func sigmaSibling(in *ir.Instr) *ir.Instr {
 		if cand.Op != ir.OpSigma && cand.Op != ir.OpPhi {
 			break
 		}
-		if cand.Op == ir.OpSigma && cand != in && cand.Cmp == in.Cmp &&
+		if cand.Op == ir.OpSigma && cand != in && cand.Cmp() == in.Cmp() &&
 			cand.OnTrue == in.OnTrue && cand.CmpSide == 1-in.CmpSide {
 			return cand
 		}

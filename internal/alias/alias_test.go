@@ -230,7 +230,7 @@ void partition(int *v, int N) {
 			return true
 		}
 		if s, ok := in.Args[1].(*ir.Instr); ok && s.Op == ir.OpSigma &&
-			!s.OnTrue && s.Cmp.Pred == ir.CmpGE {
+			!s.OnTrue && s.Cmp().Pred == ir.CmpGE {
 			swapGeps = append(swapGeps, in)
 		}
 		return true

@@ -141,8 +141,8 @@ func applyConstraints(m *ir.Module, opt Opts, gen constraintSink) {
 			case ir.OpAlloca, ir.OpMalloc:
 				gen.addPoints(in, gen.newObj(in))
 			case ir.OpCall:
-				if in.Callee != nil && !opt.Skip[in.Callee] {
-					callers[in.Callee] = true
+				if callee := in.Callee(); callee != nil && !opt.Skip[callee] {
+					callers[callee] = true
 				}
 			}
 			return true
@@ -177,14 +177,14 @@ func applyConstraints(m *ir.Module, opt Opts, gen constraintSink) {
 					gen.addStore(in.Args[0], in.Args[1])
 				}
 			case ir.OpCall:
-				if in.Callee != nil && !opt.Skip[in.Callee] {
+				if callee := in.Callee(); callee != nil && !opt.Skip[callee] {
 					for i, arg := range in.Args {
-						if i < len(in.Callee.Params) && ir.IsPtr(in.Callee.Params[i].Typ) {
-							gen.addCopy(arg, in.Callee.Params[i])
+						if i < len(callee.Params) && ir.IsPtr(callee.Params[i].Typ) {
+							gen.addCopy(arg, callee.Params[i])
 						}
 					}
 					if ir.IsPtr(in.Typ) {
-						in.Callee.Instrs(func(r *ir.Instr) bool {
+						callee.Instrs(func(r *ir.Instr) bool {
 							if r.Op == ir.OpRet && len(r.Args) == 1 {
 								gen.addCopy(r.Args[0], in)
 							}

@@ -153,16 +153,8 @@ func RemoveUnreachable(f *ir.Func) int {
 	}
 	f.Blocks = kept
 	for _, b := range f.Blocks {
-		for _, phi := range b.Phis() {
-			args := phi.Args[:0]
-			blks := phi.PhiBlocks[:0]
-			for i, pb := range phi.PhiBlocks {
-				if reachable[pb] {
-					args = append(args, phi.Args[i])
-					blks = append(blks, pb)
-				}
-			}
-			phi.Args, phi.PhiBlocks = args, blks
+		for _, phi := range b.Instrs[:b.NumPhis()] {
+			phi.RetainIncoming(func(pb *ir.Block) bool { return reachable[pb] })
 		}
 	}
 	f.RecomputeCFG()
@@ -193,9 +185,9 @@ func SplitCriticalEdges(f *ir.Func) int {
 			mid.Append(jmp)
 			term.Succs[i] = mid
 			for _, phi := range s.Phis() {
-				for j, pb := range phi.PhiBlocks {
+				for j, pb := range phi.PhiBlocks() {
 					if pb == b {
-						phi.PhiBlocks[j] = mid
+						phi.PhiBlocks()[j] = mid
 					}
 				}
 			}

@@ -56,9 +56,9 @@ func AnalyzeInterprocCtx(ctx context.Context, m *ir.Module, ranges *rangeanal.Re
 	var callees []int32
 	for i, f := range m.Funcs {
 		f.Instrs(func(in *ir.Instr) bool {
-			if in.Op == ir.OpCall && in.Callee != nil {
-				callers[in.Callee] = append(callers[in.Callee], in)
-				if c, ok := fnIdx[in.Callee]; ok {
+			if callee := in.Callee(); in.Op == ir.OpCall && callee != nil {
+				callers[callee] = append(callers[callee], in)
+				if c, ok := fnIdx[callee]; ok {
 					ncallers[c]++
 					callees = append(callees, c)
 				}

@@ -674,8 +674,8 @@ func (g *generator) copyConstraint(in *ir.Instr) constraint {
 		return constraint{kind: cEmpty}
 	}
 	c := constraint{kind: cUnion, refs: []int{si}}
-	if in.SubUser != nil {
-		if ui, ok := g.idx(in.SubUser); ok {
+	if sub := in.SubUser(); sub != nil {
+		if ui, ok := g.idx(sub); ok {
 			c.elts = append(c.elts, ui)
 		}
 	}
@@ -705,7 +705,7 @@ func (g *generator) sigmaConstraint(in *ir.Instr) constraint {
 	if !vok {
 		return constraint{kind: cEmpty}
 	}
-	rel := in.Cmp.Pred
+	rel := in.Cmp().Pred
 	if in.CmpSide == 1 {
 		rel = rel.Swap()
 	}
@@ -740,7 +740,7 @@ func (g *generator) sigmaConstraint(in *ir.Instr) constraint {
 		// v == other: LT(s) = LT(v) ∪ LT(other). Referencing the
 		// original other operand (not the sibling) keeps the
 		// constraint graph free of union cycles.
-		other := in.Cmp.Args[1-in.CmpSide]
+		other := in.Cmp().Args[1-in.CmpSide]
 		if oi, ok := g.idx(other); ok {
 			base.refs = append(base.refs, oi)
 		}
@@ -756,7 +756,7 @@ func (g *generator) sibling(in *ir.Instr) *ir.Instr {
 		if cand.Op != ir.OpSigma && cand.Op != ir.OpPhi {
 			break
 		}
-		if cand.Op == ir.OpSigma && cand != in && cand.Cmp == in.Cmp &&
+		if cand.Op == ir.OpSigma && cand != in && cand.Cmp() == in.Cmp() &&
 			cand.OnTrue == in.OnTrue && cand.CmpSide == 1-in.CmpSide {
 			return cand
 		}

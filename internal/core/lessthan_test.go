@@ -223,7 +223,7 @@ void partition(int *v, int N) {
 	// (i < j holds there).
 	var iSig, jSig *ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpSigma && !in.OnTrue && in.Cmp.Pred == ir.CmpGE {
+		if in.Op == ir.OpSigma && !in.OnTrue && in.Cmp().Pred == ir.CmpGE {
 			if in.CmpSide == 0 {
 				iSig = in
 			} else {
@@ -443,7 +443,7 @@ int f(int a, int b, int c) {
 	f := p.Module.FuncByName("f")
 	var bSig *ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpSigma && in.OnTrue && in.Cmp.Pred == ir.CmpEQ && in.CmpSide == 1 {
+		if in.Op == ir.OpSigma && in.OnTrue && in.Cmp().Pred == ir.CmpEQ && in.CmpSide == 1 {
 			bSig = in
 		}
 		return true

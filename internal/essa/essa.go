@@ -82,14 +82,7 @@ func InsertSigmas(f *ir.Func) int {
 				blk    *ir.Block
 				onTrue bool
 			}{{tSucc, true}, {fSucc, false}} {
-				sig := &ir.Instr{
-					Op:      ir.OpSigma,
-					Typ:     x.Type(),
-					Args:    []ir.Value{x},
-					Cmp:     cmp,
-					OnTrue:  arm.onTrue,
-					CmpSide: side,
-				}
+				sig := ir.NewSigma(x, cmp, arm.onTrue, side)
 				sig.SetName(f.FreshName(x.Name() + ".s"))
 				arm.blk.Insert(arm.blk.NumPhis()+countSigmas(arm.blk), sig)
 				roots[sig] = x
@@ -147,13 +140,8 @@ func SplitSubtractions(f *ir.Func, oracle RangeOracle) int {
 			if out == nil {
 				out = append(make([]*ir.Instr, 0, len(b.Instrs)+1), b.Instrs[:i]...)
 			}
-			cp := &ir.Instr{
-				Op:      ir.OpCopy,
-				Typ:     x.Type(),
-				Args:    []ir.Value{x},
-				SubUser: in,
-				Blk:     b,
-			}
+			cp := ir.NewCopy(x, in)
+			cp.Blk = b
 			cp.SetName(f.FreshName(x.Name() + ".c"))
 			out = append(out, in, cp)
 			roots[cp] = x
@@ -253,7 +241,7 @@ func renameSplits(f *ir.Func, roots map[*ir.Instr]ir.Value) {
 			for _, in := range s.Instrs {
 				switch in.Op {
 				case ir.OpPhi:
-					for i, pb := range in.PhiBlocks {
+					for i, pb := range in.PhiBlocks() {
 						if pb == b {
 							if n := lookup(in.Args[i]); n != in.Args[i] {
 								in.Args[i] = n

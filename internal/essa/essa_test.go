@@ -179,7 +179,7 @@ entry:
 	if !ok || cp.Op != ir.OpCopy {
 		t.Fatalf("use after subtraction not renamed: %s\n%s", add, f)
 	}
-	if cp.SubUser == nil || cp.SubUser.Op != ir.OpSub {
+	if cp.SubUser() == nil || cp.SubUser().Op != ir.OpSub {
 		t.Error("copy does not record its subtraction")
 	}
 }

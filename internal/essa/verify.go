@@ -86,7 +86,7 @@ func VerifySSI(f *ir.Func) error {
 					if a == s.root {
 						// Phi uses happen at the end of the incoming
 						// block.
-						check(s, in, in.PhiBlocks[k])
+						check(s, in, in.PhiBlocks()[k])
 					}
 				}
 				continue

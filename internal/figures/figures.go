@@ -54,11 +54,17 @@ func (e *Interrupted) Error() string {
 // row builds, in input order. A program whose pipeline fails (a
 // frontend error, or any contained failure under Config.Strict)
 // fails the figure; the error names every such program.
+//
+// The journal key also carries the budget and strictness the row was
+// built under, so a row that a budget degraded never replays into a
+// run without that budget, nor the other way round.
 func run[T any](b Batch, prefix string, items []harness.BatchItem,
 	row func(i int, out *harness.BatchOutcome) T) ([]T, error) {
 	rows := make([]T, 0, len(items))
 	var errs []error
-	_, done, err := harness.RunBatchCtx(b.Ctx, b.Config, b.Jobs, items,
+	c := b.Config
+	prefix = fmt.Sprintf("timeout=%s,max-steps=%d,strict=%t:%s", c.Timeout, c.MaxSteps, c.Strict, prefix)
+	_, done, err := harness.RunBatchCtx(b.Ctx, c, b.Jobs, items,
 		harness.NewBatchCheckpoint[T](b.State, prefix),
 		func(i int, out *harness.BatchOutcome) {
 			if out.Err == nil {

@@ -308,3 +308,34 @@ func TestResumeReplaysRows(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeKeysOnBudget: rows journaled under a step budget never
+// replay into an unbudgeted run over the same journal, which prints
+// the unbudgeted golden rows of Figure 9 instead of the degraded ones.
+func TestResumeKeysOnBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.wal")
+	state, err := journal.OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { state.Close() }()
+	b := Batch{Jobs: runtime.NumCPU(), State: state, Config: harness.Config{MaxSteps: 1}}
+	budgeted, err := AAEval(b, "spec:", corpus.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lt, _ := budgeted.Sum("LT"); lt != 0 {
+		t.Fatalf("a one-step budget left LT %d no-alias answers", lt)
+	}
+	state.Close()
+
+	if state, err = journal.OpenCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	b.State, b.Config.MaxSteps = state, 0
+	got, err := AAEval(b, "spec:", corpus.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig9", renderAA(got, "BA", "LT", "BA+LT"))
+}

@@ -130,6 +130,12 @@ type BatchItem struct {
 // BatchOutcome is what one program's pipeline produced. Value carries
 // whatever the worker-side callback computed (an evaluation report, a
 // statistics row) to the serial post-processing phase.
+//
+// Pipe and Res live only as long as work runs: RunBatchCtx clears them
+// when work returns, so a program's IR and analysis results are
+// garbage once its work is done, and a batch holds at most one
+// program per worker at a time. post and the caller see them nil;
+// whatever they need must go into Value.
 type BatchOutcome struct {
 	Name string
 	Pipe *Pipeline
@@ -142,8 +148,8 @@ type BatchOutcome struct {
 	AnalyzeTime time.Duration
 	Value       any
 	// Replayed marks an outcome restored from a checkpoint journal
-	// rather than computed this run. Pipe and Res are nil on replayed
-	// outcomes; only Name and Value are populated.
+	// rather than computed this run; only Name and Value are
+	// populated.
 	Replayed bool
 }
 
@@ -185,20 +191,14 @@ func NewBatchCheckpoint[T any](c *journal.Checkpoint, prefix string) *BatchCheck
 
 func (ck *BatchCheckpoint) key(name string) string { return ck.prefix + name }
 
-// interrupted reports whether an outcome was poisoned by context
-// cancellation and therefore describes this (aborted) run rather than
-// the input.
-func interrupted(out *BatchOutcome) bool {
-	return out.Pipe != nil && out.Pipe.Report().Canceled()
-}
-
 // RunBatch shards a corpus of independent programs across jobs
 // workers, one fresh pipeline per program so quarantine state never
 // crosses program boundaries. work, when non-nil, runs on the worker
-// goroutine right after analysis — put per-program evaluation there.
-// post, when non-nil, runs serially on the calling goroutine in input
-// order after all workers drain — put printing and aggregation there.
-// Outcomes are returned in input order.
+// goroutine right after analysis — put per-program evaluation there;
+// it is the only place Pipe and Res are set. post, when non-nil, runs
+// serially on the calling goroutine in input order after all workers
+// drain — put printing and aggregation there. Outcomes are returned in
+// input order.
 //
 // When jobs > 1 the per-program pipelines run with function-level
 // sharding disabled (Jobs=1): one level of parallelism is enough to
@@ -220,10 +220,10 @@ func RunBatch(cfg Config, jobs int, items []BatchItem,
 // because the per-item pipelines observe the same ctx through their
 // solver budgets and degrade to sound conservative answers. Outcomes
 // of undispatched items are nil; outcomes poisoned by the
-// cancellation stay in the returned slice (their reports say
-// "canceled") but are never journaled, and post is skipped entirely,
-// so an interrupted run can never publish or checkpoint results that
-// an uninterrupted run would not have produced.
+// cancellation stay in the returned slice but are never journaled,
+// and post is skipped entirely, so an interrupted run can never
+// publish or checkpoint results that an uninterrupted run would not
+// have produced.
 //
 // Checkpointing semantics: with ck non-nil, items found in its
 // journal are replayed as their journaled Value without
@@ -272,25 +272,29 @@ func RunBatchCtx(ctx context.Context, cfg Config, jobs int, items []BatchItem,
 	var completed int64 = int64(len(items) - len(pending))
 	run := func(i int) {
 		it := items[i]
-		out := &BatchOutcome{Name: it.Name, Pipe: NewCtx(ctx, inner)}
-		m, err := out.Pipe.Compile(it.Name, it.Src)
+		pipe := NewCtx(ctx, inner)
+		out := &BatchOutcome{Name: it.Name, Pipe: pipe}
+		m, err := pipe.Compile(it.Name, it.Src)
 		if err != nil {
 			out.Err = err
 		} else {
 			start := time.Now()
-			out.Res, out.Err = out.Pipe.Analyze(m)
+			out.Res, out.Err = pipe.Analyze(m)
 			out.AnalyzeTime = time.Since(start)
 		}
 		if work != nil {
 			work(i, out)
 		}
+		// work was the last reader: the program's IR and results are
+		// garbage once the report below has been read.
+		out.Pipe, out.Res = nil, nil
 		outs[i] = out
 		// Journal only results an uninterrupted run would also have
 		// produced: the ctx must still be live (a cancellation racing
 		// with completion could have degraded any stage), the report
 		// must record no cancellation, and the work must have
 		// succeeded. Anything else is recomputed on resume.
-		if ctx.Err() == nil && !interrupted(out) && out.Err == nil {
+		if ctx.Err() == nil && !pipe.Report().Canceled() && out.Err == nil {
 			atomic.AddInt64(&completed, 1)
 			if ck != nil && out.Value != nil {
 				ck.c.Record(ck.key(it.Name), out.Value)

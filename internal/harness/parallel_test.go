@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/csmith"
@@ -100,7 +102,11 @@ func TestRunBatchCompileErrors(t *testing.T) {
 		{Name: "bad", Src: "int main( { return }"},
 		{Name: "good2", Src: testSrc},
 	}
-	outs := RunBatch(Config{}, 3, items, nil, nil)
+	outs := RunBatch(Config{}, 3, items, func(i int, out *BatchOutcome) {
+		if rep := out.Pipe.Report(); !rep.Ok() {
+			out.Value = rep.String()
+		}
+	}, nil)
 	if outs[1].Err == nil {
 		t.Fatal("broken program produced no error")
 	}
@@ -108,9 +114,49 @@ func TestRunBatchCompileErrors(t *testing.T) {
 		if outs[i].Err != nil {
 			t.Fatalf("%s: healthy program failed: %v", outs[i].Name, outs[i].Err)
 		}
-		if !outs[i].Pipe.Report().Ok() {
-			t.Fatalf("%s: healthy program degraded:\n%s", outs[i].Name, outs[i].Pipe.Report())
+		if outs[i].Value != nil {
+			t.Fatalf("%s: healthy program degraded:\n%s", outs[i].Name, outs[i].Value)
 		}
+	}
+}
+
+// TestRunBatchDropsPipelines: a program's pipeline is garbage once its
+// work returns, before the batch does, so a batch never holds every
+// program's IR at once. With one job, the first program's Pipeline
+// must be finalized while the last program's work runs; post and the
+// returned outcomes see Pipe and Res nil.
+func TestRunBatchDropsPipelines(t *testing.T) {
+	items := []BatchItem{{Name: "first", Src: testSrc}, {Name: "second", Src: testSrc}, {Name: "last", Src: testSrc}}
+	freed := make(chan struct{})
+	collected := false
+	check := func(where string, i int, out *BatchOutcome) {
+		if out.Pipe != nil || out.Res != nil {
+			t.Errorf("%s %d: Pipe or Res still set after work", where, i)
+		}
+	}
+	outs := RunBatch(Config{}, 1, items, func(i int, out *BatchOutcome) {
+		if out.Err != nil || out.Pipe == nil || out.Res == nil {
+			t.Fatalf("%s: work sees err %v, pipe %p, res %p", out.Name, out.Err, out.Pipe, out.Res)
+		}
+		switch i {
+		case 0:
+			runtime.SetFinalizer(out.Pipe, func(*Pipeline) { close(freed) })
+		case len(items) - 1:
+			for try := 0; try < 100 && !collected; try++ {
+				runtime.GC()
+				select {
+				case <-freed:
+					collected = true
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		}
+	}, func(i int, out *BatchOutcome) { check("post", i, out) })
+	for i, out := range outs {
+		check("outcome", i, out)
+	}
+	if !collected {
+		t.Fatal("the first program's pipeline was still reachable while the last program ran")
 	}
 }
 

@@ -308,7 +308,7 @@ func (mach *Machine) exec(env map[ir.Value]Val, in *ir.Instr, depth int) (Val, e
 	case ir.OpAlloca:
 		return Val{Obj: &MemObj{
 			Name:  "%" + in.Name(),
-			Cells: make([]Val, in.NumElems),
+			Cells: make([]Val, in.NumElems()),
 		}}, nil
 	case ir.OpMalloc:
 		sz, err := arg(0)
@@ -421,16 +421,16 @@ func (mach *Machine) exec(env map[ir.Value]Val, in *ir.Instr, depth int) (Val, e
 			}
 			args[i] = v
 		}
-		if in.Callee != nil {
-			return mach.call(in.Callee, args, depth+1)
+		if callee := in.Callee(); callee != nil {
+			return mach.call(callee, args, depth+1)
 		}
-		if in.CalleeName == "free" {
+		if in.CalleeName() == "free" {
 			return Val{}, nil
 		}
 		if mach.opt.External != nil {
-			return mach.opt.External(in.CalleeName, args)
+			return mach.opt.External(in.CalleeName(), args)
 		}
-		return Val{}, mach.errf("call to undefined external @%s", in.CalleeName)
+		return Val{}, mach.errf("call to undefined external @%s", in.CalleeName())
 	}
 	return Val{}, mach.errf("cannot execute %s", in)
 }

@@ -1,5 +1,7 @@
 package ir
 
+import "math"
+
 // Builder constructs instructions with an insertion point, in the style
 // of LLVM's IRBuilder. Every emitted instruction gets a fresh name
 // unless one is provided with Named.
@@ -7,7 +9,7 @@ type Builder struct {
 	fn   *Func
 	blk  *Block
 	name string // pending name for the next instruction
-	line int    // source line stamped on emitted instructions (0 = none)
+	line int32  // source line stamped on emitted instructions (0 = none)
 }
 
 // NewBuilder returns a builder for fn with no insertion point.
@@ -30,8 +32,14 @@ func (bld *Builder) Named(name string) *Builder {
 
 // SetLine sets the source line stamped on subsequently emitted
 // instructions. Unlike Named it is sticky: it stays in effect until
-// the next SetLine. Pass 0 to stop stamping.
-func (bld *Builder) SetLine(n int) { bld.line = n }
+// the next SetLine. Pass 0 to stop stamping. A line that does not fit
+// Instr.Line's int32 is stamped as 0, unknown.
+func (bld *Builder) SetLine(n int) {
+	if n < 0 || n > math.MaxInt32 {
+		n = 0
+	}
+	bld.line = int32(n)
+}
 
 func (bld *Builder) emit(in *Instr) *Instr {
 	if bld.blk == nil {
@@ -54,9 +62,7 @@ func (bld *Builder) emit(in *Instr) *Instr {
 
 // Alloca emits a stack allocation of n elements of elem.
 func (bld *Builder) Alloca(elem Type, n int64) *Instr {
-	return bld.emit(&Instr{
-		Op: OpAlloca, Typ: Ptr(elem), AllocTyp: elem, NumElems: n,
-	})
+	return bld.emit(NewAlloca(elem, n))
 }
 
 // Malloc emits a heap allocation of size bytes, typed as a pointer to
@@ -136,21 +142,22 @@ func AddIncoming(phi *Instr, v Value, pred *Block) {
 		panic("ir: AddIncoming on non-phi")
 	}
 	phi.Args = append(phi.Args, v)
-	phi.PhiBlocks = append(phi.PhiBlocks, pred)
+	ext := phi.extOrNew()
+	ext.blocks = append(ext.blocks, pred)
 }
 
 // Call emits a call to a function defined in this module.
 func (bld *Builder) Call(callee *Func, args ...Value) *Instr {
 	return bld.emit(&Instr{
-		Op: OpCall, Typ: callee.RetTyp, Callee: callee,
-		CalleeName: callee.FName, Args: args,
+		Op: OpCall, Typ: callee.RetTyp, Args: args,
+		ext: &payload{calleeName: callee.FName, callee: callee},
 	})
 }
 
 // CallExt emits a call to an external function with the given result
 // type.
 func (bld *Builder) CallExt(name string, ret Type, args ...Value) *Instr {
-	return bld.emit(&Instr{Op: OpCall, Typ: ret, CalleeName: name, Args: args})
+	return bld.emit(&Instr{Op: OpCall, Typ: ret, Args: args, ext: &payload{calleeName: name}})
 }
 
 // Br emits a conditional branch.

@@ -44,6 +44,35 @@ b:
 `)
 	f.Add("module \"\x00\"")
 	f.Add("func @main() i64 {\nentry:\n  ret undef\n}\n")
+	// Every opcode that carries a payload: allocas of one and of more
+	// elements, a call bound to a function of the module and an
+	// external one, a phi, a sigma on each side, a split copy whose
+	// subtraction comes later and one whose operand is no instruction.
+	f.Add(`func @g(i64 %n) i64 {
+entry:
+  %a = alloca i64, 1
+  %v = alloca [4 x i64], 4
+  %r = call i64 @g(%n)
+  call void @ext(%a, %v)
+  %c = icmp lt %n, %r
+  br %c, then, else
+then:
+  %ns = sigma %n, cmp %c, true, left
+  %rs = sigma %r, cmp %c, true, right
+  %cp = copy %ns, sub %d
+  %d = sub %rs, %cp
+  jmp join
+else:
+  jmp join
+join:
+  %p = phi i64 [%d, then], [0, else]
+  ret %p
+}
+`)
+	f.Add("func @f(i64 %x) i64 {\nentry:\n  %c = copy %x, sub %x\n  ret %c\n}\n")
+	// The line bound: Instr.Line is an int32.
+	f.Add("func @f() i64 {\nentry:\n  ret 0 !line 2147483647\n}\n")
+	f.Add("func @f() i64 {\nentry:\n  ret 0 !line 2147483648\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ir.Parse(src)
 		if err != nil {

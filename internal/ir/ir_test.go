@@ -239,14 +239,14 @@ entry:
 	if len(calls) != 2 {
 		t.Fatalf("calls = %d, want 2", len(calls))
 	}
-	if calls[0].Callee == nil || calls[0].Callee.FName != "alloc" {
+	if calls[0].Callee() == nil || calls[0].Callee().FName != "alloc" {
 		t.Error("intra-module callee not resolved")
 	}
-	if calls[1].Callee != nil {
+	if calls[1].Callee() != nil {
 		t.Error("external callee should stay unresolved")
 	}
-	if calls[1].CalleeName != "external" {
-		t.Errorf("external callee name = %q", calls[1].CalleeName)
+	if calls[1].CalleeName() != "external" {
+		t.Errorf("external callee name = %q", calls[1].CalleeName())
 	}
 }
 
@@ -273,11 +273,11 @@ else:
 	f := m.FuncByName("f")
 	then := f.blockByName("then")
 	sig := then.Instrs[0]
-	if sig.Op != OpSigma || !sig.OnTrue || sig.Cmp == nil {
+	if sig.Op != OpSigma || !sig.OnTrue || sig.Cmp() == nil {
 		t.Fatalf("bad sigma: %s", sig)
 	}
 	cp := then.Instrs[2]
-	if cp.Op != OpCopy || cp.SubUser == nil || cp.SubUser.Op != OpSub {
+	if cp.Op != OpCopy || cp.SubUser() == nil || cp.SubUser().Op != OpSub {
 		t.Fatalf("bad copy: %s", cp)
 	}
 	// Round trip must preserve sigma/copy annotations.
@@ -375,7 +375,7 @@ func TestVerifyCatchesPhiMismatch(t *testing.T) {
 	f := m.FuncByName("fill")
 	phi := f.Blocks[1].Phis()[0]
 	phi.Args = phi.Args[:1]
-	phi.PhiBlocks = phi.PhiBlocks[:1]
+	phi.ext.blocks = phi.ext.blocks[:1]
 	if err := Verify(m); err == nil {
 		t.Error("verifier accepted phi with missing incoming edge")
 	}

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -352,13 +353,13 @@ func (p *parser) parseFunc() error {
 			if !ok || in.Op != OpICmp {
 				return p.errf(fx.line, "sigma cmp %%%s is not an icmp", fx.name)
 			}
-			fx.in.Cmp = in
+			fx.in.extOrNew().ref = in
 		case -2:
 			in, ok := v.(*Instr)
 			if !ok {
 				return p.errf(fx.line, "copy sub user %%%s is not an instruction", fx.name)
 			}
-			fx.in.SubUser = in
+			fx.in.extOrNew().ref = in
 		default:
 			fx.in.Args[fx.arg] = v
 		}
@@ -481,7 +482,7 @@ func (p *parser) parseInstr(b *Block) error {
 			return p.errf(n.line, "expected alloca element count")
 		}
 		cnt, _ := strconv.ParseInt(n.text, 10, 64)
-		in.Op, in.Typ, in.AllocTyp, in.NumElems = OpAlloca, Ptr(elem), elem, cnt
+		in = NewAlloca(elem, cnt)
 		emit()
 	case "malloc":
 		elem, err := p.parseType()
@@ -630,7 +631,8 @@ func (p *parser) parseInstr(b *Block) error {
 			if lbl.kind != tIdent {
 				return p.errf(lbl.line, "expected block label in phi")
 			}
-			in.PhiBlocks = append(in.PhiBlocks, p.getBlock(lbl.text))
+			ext := in.extOrNew()
+			ext.blocks = append(ext.blocks, p.getBlock(lbl.text))
 			if err := p.expectPunct("]"); err != nil {
 				return err
 			}
@@ -669,7 +671,7 @@ func (p *parser) parseInstr(b *Block) error {
 			if !ok || ci.Op != OpICmp {
 				return p.errf(cmpTok.line, "sigma cmp is not an icmp")
 			}
-			in.Cmp = ci
+			in.extOrNew().ref = ci
 		} else {
 			p.fixups = append(p.fixups, fixup{in: in, arg: -1, name: cmpTok.text, line: cmpTok.line})
 		}
@@ -721,7 +723,11 @@ func (p *parser) parseInstr(b *Block) error {
 				return p.errf(st.line, "expected %%sub in copy")
 			}
 			if v, ok := p.values[st.text]; ok {
-				in.SubUser = v.(*Instr)
+				sub, ok := v.(*Instr)
+				if !ok {
+					return p.errf(st.line, "copy sub user %%%s is not an instruction", st.text)
+				}
+				in.extOrNew().ref = sub
 			} else {
 				p.fixups = append(p.fixups, fixup{in: in, arg: -2, name: st.text, line: st.line})
 			}
@@ -736,7 +742,7 @@ func (p *parser) parseInstr(b *Block) error {
 		if callee.kind != tGlobalT {
 			return p.errf(callee.line, "expected @callee in call")
 		}
-		in.Op, in.Typ, in.CalleeName = OpCall, ret, callee.text
+		in.Op, in.Typ, in.ext = OpCall, ret, &payload{calleeName: callee.text}
 		if err := p.expectPunct("("); err != nil {
 			return err
 		}
@@ -812,11 +818,11 @@ func (p *parser) parseInstr(b *Block) error {
 			return p.errf(kw.line, "expected 'line' after '!', got %q", kw.text)
 		}
 		n := p.lex.next()
-		ln, err := strconv.Atoi(n.text)
+		ln, err := strconv.ParseInt(n.text, 10, 32)
 		if n.kind != tInt || err != nil || ln < 0 {
-			return p.errf(n.line, "expected non-negative line number after !line, got %q", n.text)
+			return p.errf(n.line, "expected a line number in [0, %d] after !line, got %q", math.MaxInt32, n.text)
 		}
-		in.Line = ln
+		in.Line = int32(ln)
 	}
 	return nil
 }
@@ -835,7 +841,7 @@ func typeOf(v Value) Type {
 func (p *parser) resolveCalls() error {
 	for _, cf := range p.callFix {
 		if f := p.mod.FuncByName(cf.name); f != nil {
-			cf.in.Callee = f
+			cf.in.ext.callee = f
 		}
 	}
 	return nil

@@ -129,7 +129,7 @@ func TestOpStringCoverage(t *testing.T) {
 			t.Errorf("op %d has empty name", int(op))
 		}
 	}
-	if !strings.Contains(Op(999).String(), "999") {
+	if !strings.Contains(Op(200).String(), "200") {
 		t.Error("out-of-range op not diagnosed")
 	}
 	if !strings.Contains(CmpPred(99).String(), "99") {

@@ -81,9 +81,9 @@ func appendInstr(b []byte, in *Instr) []byte {
 	switch in.Op {
 	case OpAlloca:
 		b = append(b, "alloca "...)
-		b = AppendType(b, in.AllocTyp)
+		b = AppendType(b, in.AllocTyp())
 		b = append(b, ", "...)
-		b = strconv.AppendInt(b, in.NumElems, 10)
+		b = strconv.AppendInt(b, in.NumElems(), 10)
 	case OpMalloc:
 		b = append(b, "malloc "...)
 		b = AppendType(b, in.Typ.(*PtrType).Elem)
@@ -106,11 +106,12 @@ func appendInstr(b []byte, in *Instr) []byte {
 	case OpPhi:
 		b = append(b, "phi "...)
 		b = AppendType(b, in.Typ)
+		blocks := in.PhiBlocks()
 		for i, a := range in.Args {
 			b = append(b, " ["...)
 			b = AppendRef(b, a)
 			b = append(b, ", "...)
-			b = append(b, in.PhiBlocks[i].name...)
+			b = append(b, blocks[i].name...)
 			b = append(b, ']')
 			if i < len(in.Args)-1 {
 				b = append(b, ',')
@@ -120,7 +121,7 @@ func appendInstr(b []byte, in *Instr) []byte {
 		b = append(b, "sigma "...)
 		b = AppendRef(b, in.Args[0])
 		b = append(b, ", cmp "...)
-		b = AppendRef(b, in.Cmp)
+		b = AppendRef(b, in.Cmp())
 		if in.OnTrue {
 			b = append(b, ", true"...)
 		} else {
@@ -134,15 +135,15 @@ func appendInstr(b []byte, in *Instr) []byte {
 	case OpCopy:
 		b = append(b, "copy "...)
 		b = AppendRef(b, in.Args[0])
-		if in.SubUser != nil {
+		if sub := in.SubUser(); sub != nil {
 			b = append(b, ", sub "...)
-			b = AppendRef(b, in.SubUser)
+			b = AppendRef(b, sub)
 		}
 	case OpCall:
 		b = append(b, "call "...)
 		b = AppendType(b, in.Typ)
 		b = append(b, " @"...)
-		b = append(b, in.CalleeName...)
+		b = append(b, in.CalleeName()...)
 		b = append(b, '(')
 		b = appendArgs(b, in.Args)
 		b = append(b, ')')

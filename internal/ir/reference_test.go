@@ -67,7 +67,7 @@ func refInstr(in *ir.Instr) string {
 	}
 	switch in.Op {
 	case ir.OpAlloca:
-		fmt.Fprintf(&sb, "alloca %s, %d", refType(in.AllocTyp), in.NumElems)
+		fmt.Fprintf(&sb, "alloca %s, %d", refType(in.AllocTyp()), in.NumElems())
 	case ir.OpMalloc:
 		pt := in.Typ.(*ir.PtrType)
 		fmt.Fprintf(&sb, "malloc %s, %s", refType(pt.Elem), refOperand(in.Args[0]))
@@ -84,7 +84,7 @@ func refInstr(in *ir.Instr) string {
 	case ir.OpPhi:
 		fmt.Fprintf(&sb, "phi %s", refType(in.Typ))
 		for i, a := range in.Args {
-			fmt.Fprintf(&sb, " [%s, %s]", refOperand(a), in.PhiBlocks[i].Name())
+			fmt.Fprintf(&sb, " [%s, %s]", refOperand(a), in.PhiBlocks()[i].Name())
 			if i < len(in.Args)-1 {
 				sb.WriteByte(',')
 			}
@@ -98,18 +98,18 @@ func refInstr(in *ir.Instr) string {
 		if in.CmpSide == 1 {
 			side = "right"
 		}
-		fmt.Fprintf(&sb, "sigma %s, cmp %s, %s, %s", refOperand(in.Args[0]), refOperand(in.Cmp), branch, side)
+		fmt.Fprintf(&sb, "sigma %s, cmp %s, %s, %s", refOperand(in.Args[0]), refOperand(in.Cmp()), branch, side)
 	case ir.OpCopy:
 		fmt.Fprintf(&sb, "copy %s", refOperand(in.Args[0]))
-		if in.SubUser != nil {
-			fmt.Fprintf(&sb, ", sub %s", refOperand(in.SubUser))
+		if in.SubUser() != nil {
+			fmt.Fprintf(&sb, ", sub %s", refOperand(in.SubUser()))
 		}
 	case ir.OpCall:
 		args := make([]string, len(in.Args))
 		for i, a := range in.Args {
 			args[i] = refOperand(a)
 		}
-		fmt.Fprintf(&sb, "call %s @%s(%s)", refType(in.Typ), in.CalleeName, strings.Join(args, ", "))
+		fmt.Fprintf(&sb, "call %s @%s(%s)", refType(in.Typ), in.CalleeName(), strings.Join(args, ", "))
 	case ir.OpBr:
 		fmt.Fprintf(&sb, "br %s, %s, %s", refOperand(in.Args[0]), in.Succs[0].Name(), in.Succs[1].Name())
 	case ir.OpJmp:
@@ -281,7 +281,7 @@ func TestPrintMatchesReferenceEdgeCases(t *testing.T) {
 	b.SetBlock(entry)
 	lo := &ir.Const{Val: math.MinInt64, Typ: ir.I64}
 	hi := &ir.Const{Val: math.MaxInt64, Typ: ir.I64}
-	b.SetLine(1 << 40)
+	b.SetLine(math.MaxInt32)
 	sum := b.Bin(ir.OpShr, lo, hi)
 	b.SetLine(0)
 	cmp := b.ICmp(ir.CmpPred(99), sum, &ir.Undef{Typ: ir.I64})
@@ -296,10 +296,13 @@ func TestPrintMatchesReferenceEdgeCases(t *testing.T) {
 	phi := b.Phi(ir.I64)
 	ir.AddIncoming(phi, sum, entry)
 	ir.AddIncoming(phi, ir.ConstInt(0), entry)
-	sig := b.Bin(ir.OpAdd, phi, ir.ConstInt(1))
-	sig.Op, sig.Cmp, sig.OnTrue, sig.CmpSide, sig.Args = ir.OpSigma, cmp, true, 1, sig.Args[:1]
-	cp := b.Bin(ir.OpSub, sig, ir.ConstInt(1))
-	cp.Op, cp.SubUser, cp.Args = ir.OpCopy, cp, cp.Args[:1]
+	sig := ir.NewSigma(phi, cmp, true, 1)
+	sig.SetName("s")
+	next.Append(sig)
+	sub := b.Bin(ir.OpSub, sig, ir.ConstInt(1))
+	cp := ir.NewCopy(sub, sub)
+	cp.SetName("c")
+	next.Append(cp)
 	b.Ret(nil)
 	checkPrint(t, "edge", m)
 	if got, want := lo.Name(), fmt.Sprintf("%d", lo.Val); got != want {

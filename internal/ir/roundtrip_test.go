@@ -63,17 +63,17 @@ func TestParsePreservesAnalysisInputs(t *testing.T) {
 				switch in.Op {
 				case ir.OpSigma:
 					sigmas++
-					if in.Cmp == nil {
+					if in.Cmp() == nil {
 						t.Errorf("sigma %s lost its cmp", in.Ref())
 					}
 				case ir.OpCopy:
 					copies++
-					if in.SubUser != nil {
+					if in.SubUser() != nil {
 						subusers++
 					}
 				case ir.OpPhi:
 					phis++
-					if len(in.Args) != len(in.PhiBlocks) {
+					if len(in.Args) != len(in.PhiBlocks()) {
 						t.Errorf("phi %s arg/block mismatch", in.Ref())
 					}
 				}

@@ -11,8 +11,13 @@ import (
 // unresolved. It does not check the SSA dominance property; that
 // requires a dominator tree and lives in internal/ssa.
 func Verify(m *Module) error {
+	n := 0
 	for _, f := range m.Funcs {
-		if err := VerifyFunc(f); err != nil {
+		n = max(n, len(f.Params)+f.NumInstrs())
+	}
+	names := newNameSet(n)
+	for _, f := range m.Funcs {
+		if err := verifyFunc(f, names); err != nil {
 			return fmt.Errorf("func @%s: %w", f.FName, err)
 		}
 	}
@@ -21,16 +26,39 @@ func Verify(m *Module) error {
 
 // VerifyFunc checks structural well-formedness of a single function.
 func VerifyFunc(f *Func) error {
+	return verifyFunc(f, newNameSet(len(f.Params)+f.NumInstrs()))
+}
+
+// nameSet is the set of names a function defines. Verify reuses one
+// across a module's functions: a name is in the set only if it
+// carries the current function's stamp, so starting the next function
+// clears nothing.
+type nameSet struct {
+	stamp map[string]int32
+	cur   int32
+}
+
+func newNameSet(n int) *nameSet { return &nameSet{stamp: make(map[string]int32, n)} }
+
+// add inserts name and reports whether it was not yet in the set.
+func (s *nameSet) add(name string) bool {
+	if s.stamp[name] == s.cur {
+		return false
+	}
+	s.stamp[name] = s.cur
+	return true
+}
+
+func verifyFunc(f *Func, defined *nameSet) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("function has no blocks")
 	}
 	f.RecomputeCFG()
-	defined := make(map[string]bool, len(f.Params)+f.NumInstrs())
+	defined.cur++
 	for _, p := range f.Params {
-		if defined[p.PName] {
+		if !defined.add(p.PName) {
 			return fmt.Errorf("duplicate parameter %%%s", p.PName)
 		}
-		defined[p.PName] = true
 	}
 	// predOf[i] is 1 + the index of the last block found to have
 	// block i as a predecessor.
@@ -57,10 +85,9 @@ func VerifyFunc(f *Func) error {
 				if in.Name() == "" {
 					return fmt.Errorf("block %s: unnamed result in %s", b.Name(), in)
 				}
-				if defined[in.Name()] {
+				if !defined.add(in.Name()) {
 					return fmt.Errorf("block %s: %%%s defined twice (SSA violation)", b.Name(), in.Name())
 				}
-				defined[in.Name()] = true
 			}
 		}
 		// Phis must be at the head, before sigmas and ordinary
@@ -94,7 +121,7 @@ func VerifyFunc(f *Func) error {
 				return fmt.Errorf("block %s: phi %s has %d incoming, block has %d preds",
 					b.Name(), phi.Ref(), len(phi.Args), len(b.Preds))
 			}
-			for _, pb := range phi.PhiBlocks {
+			for _, pb := range phi.PhiBlocks() {
 				if pb.Index >= len(f.Blocks) || f.Blocks[pb.Index] != pb || predOf[pb.Index] != bi+1 {
 					return fmt.Errorf("block %s: phi %s names non-predecessor %s",
 						b.Name(), phi.Ref(), pb.Name())
@@ -122,7 +149,7 @@ func verifyInstr(in *Instr) error {
 	}
 	switch in.Op {
 	case OpAlloca:
-		if in.AllocTyp == nil || in.NumElems <= 0 {
+		if in.AllocTyp() == nil || in.NumElems() <= 0 {
 			return fmt.Errorf("bad alloca shape")
 		}
 		return argc(0)
@@ -189,28 +216,28 @@ func verifyInstr(in *Instr) error {
 			return fmt.Errorf("gep index must be integer")
 		}
 	case OpPhi:
-		if len(in.Args) == 0 || len(in.Args) != len(in.PhiBlocks) {
+		if len(in.Args) == 0 || len(in.Args) != len(in.PhiBlocks()) {
 			return fmt.Errorf("phi operand/block mismatch")
 		}
 	case OpSigma:
 		if err := argc(1); err != nil {
 			return err
 		}
-		if in.Cmp == nil {
+		if in.Cmp() == nil {
 			return fmt.Errorf("sigma without controlling cmp")
 		}
-		if in.Cmp.Op != OpICmp {
+		if in.Cmp().Op != OpICmp {
 			return fmt.Errorf("sigma cmp is not an icmp")
 		}
 	case OpCopy:
 		return argc(1)
 	case OpCall:
-		if in.CalleeName == "" {
+		if in.CalleeName() == "" {
 			return fmt.Errorf("call without callee name")
 		}
-		if in.Callee != nil && len(in.Callee.Params) != len(in.Args) {
+		if c := in.Callee(); c != nil && len(c.Params) != len(in.Args) {
 			return fmt.Errorf("call to @%s with %d args, wants %d",
-				in.CalleeName, len(in.Args), len(in.Callee.Params))
+				in.CalleeName(), len(in.Args), len(c.Params))
 		}
 	case OpBr:
 		if err := argc(1); err != nil {

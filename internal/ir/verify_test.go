@@ -36,7 +36,7 @@ func TestVerifyTypeAgreement(t *testing.T) {
 		{
 			"store int into int cell ok", "",
 			func(f *Func, b *Block) {
-				a := &Instr{Op: OpAlloca, Typ: i64p, AllocTyp: I64, NumElems: 1}
+				a := NewAlloca(I64, 1)
 				b.Append(a)
 				b.Append(&Instr{Op: OpStore, Typ: Void, Args: []Value{ConstInt(1), a}})
 				b.Append(&Instr{Op: OpRet, Typ: Void, Args: []Value{ConstInt(0)}})
@@ -45,7 +45,7 @@ func TestVerifyTypeAgreement(t *testing.T) {
 		{
 			"store pointer into int cell rejected", "store value type",
 			func(f *Func, b *Block) {
-				a := &Instr{Op: OpAlloca, Typ: i64p, AllocTyp: I64, NumElems: 1}
+				a := NewAlloca(I64, 1)
 				b.Append(a)
 				b.Append(&Instr{Op: OpStore, Typ: Void, Args: []Value{f.Params[1], a}})
 				b.Append(&Instr{Op: OpRet, Typ: Void, Args: []Value{ConstInt(0)}})
@@ -54,7 +54,7 @@ func TestVerifyTypeAgreement(t *testing.T) {
 		{
 			"store int into pointer cell rejected", "store value type",
 			func(f *Func, b *Block) {
-				a := &Instr{Op: OpAlloca, Typ: Ptr(i64p), AllocTyp: i64p, NumElems: 1}
+				a := NewAlloca(i64p, 1)
 				b.Append(a)
 				b.Append(&Instr{Op: OpStore, Typ: Void, Args: []Value{ConstInt(7), a}})
 				b.Append(&Instr{Op: OpRet, Typ: Void, Args: []Value{ConstInt(0)}})
@@ -63,7 +63,7 @@ func TestVerifyTypeAgreement(t *testing.T) {
 		{
 			"store null into pointer cell ok", "",
 			func(f *Func, b *Block) {
-				a := &Instr{Op: OpAlloca, Typ: Ptr(i64p), AllocTyp: i64p, NumElems: 1}
+				a := NewAlloca(i64p, 1)
 				b.Append(a)
 				b.Append(&Instr{Op: OpStore, Typ: Void, Args: []Value{ConstInt(0), a}})
 				b.Append(&Instr{Op: OpRet, Typ: Void, Args: []Value{ConstInt(0)}})
@@ -189,12 +189,12 @@ func TestLineRoundTrip(t *testing.T) {
 	if got := m2.String(); got != text {
 		t.Errorf("line round trip unstable:\n%s\nvs\n%s", text, got)
 	}
-	var lines []int
+	var lines []int32
 	m2.Funcs[0].Instrs(func(in *Instr) bool {
 		lines = append(lines, in.Line)
 		return true
 	})
-	want := []int{3, 0, 9}
+	want := []int32{3, 0, 9}
 	for i := range want {
 		if lines[i] != want[i] {
 			t.Errorf("instr %d: Line = %d, want %d", i, lines[i], want[i])
@@ -202,12 +202,22 @@ func TestLineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLineParseErrors covers the malformed !line forms.
+// TestLineParseErrors covers the malformed !line forms, including a
+// line that does not fit Instr.Line's int32; the largest one that does
+// round-trips.
 func TestLineParseErrors(t *testing.T) {
+	const top = "func @f() i64 {\nentry:\n  ret 0 !line 2147483647\n}\n"
+	if m, err := Parse(top); err != nil {
+		t.Errorf("line MaxInt32 rejected: %v", err)
+	} else if got := m.String(); got != top {
+		t.Errorf("line MaxInt32 printed as\n%s", got)
+	}
 	for _, c := range []struct{ name, src, wantSub string }{
 		{"bang junk", "func @f() i64 {\nentry:\n  ret 0 !bogus 3\n}", "expected 'line'"},
 		{"missing number", "func @f() i64 {\nentry:\n  ret 0 !line x\n}", "line number"},
 		{"negative number", "func @f() i64 {\nentry:\n  ret 0 !line -4\n}", "line number"},
+		{"above int32", "func @f() i64 {\nentry:\n  ret 0 !line 2147483648\n}", "line number"},
+		{"far above int32", "func @f() i64 {\nentry:\n  ret 0 !line 99999999999999999999\n}", "line number"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse(c.src)
@@ -242,13 +252,13 @@ join:
 	}{
 		{"well formed", "", func(f *Func, phi *Instr) {}},
 		{"missing operand", "has 1 incoming, block has 2 preds", func(f *Func, phi *Instr) {
-			phi.Args, phi.PhiBlocks = phi.Args[:1], phi.PhiBlocks[:1]
+			phi.Args, phi.ext.blocks = phi.Args[:1], phi.ext.blocks[:1]
 		}},
 		{"non-predecessor", "names non-predecessor join", func(f *Func, phi *Instr) {
-			phi.PhiBlocks[1] = f.Blocks[2]
+			phi.PhiBlocks()[1] = f.Blocks[2]
 		}},
 		{"foreign block", "names non-predecessor elsewhere", func(f *Func, phi *Instr) {
-			phi.PhiBlocks[1] = &Block{name: "elsewhere", Index: 1}
+			phi.PhiBlocks()[1] = &Block{name: "elsewhere", Index: 1}
 		}},
 	} {
 		f := MustParse(src).Funcs[0]

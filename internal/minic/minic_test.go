@@ -330,7 +330,7 @@ int main() {
 	var internal, external *ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
 		if in.Op == ir.OpCall {
-			if in.Callee != nil {
+			if in.Callee() != nil {
 				internal = in
 			} else {
 				external = in
@@ -338,10 +338,10 @@ int main() {
 		}
 		return true
 	})
-	if internal == nil || internal.Callee.FName != "helper" {
+	if internal == nil || internal.Callee().FName != "helper" {
 		t.Error("internal call not resolved")
 	}
-	if external == nil || external.CalleeName != "unknown_fn" {
+	if external == nil || external.CalleeName() != "unknown_fn" {
 		t.Error("external call not kept")
 	}
 }

@@ -114,16 +114,8 @@ func foldOnce(f *ir.Func) int {
 
 // removePhiEdge deletes pred's incoming entries from every phi in b.
 func removePhiEdge(b *ir.Block, pred *ir.Block) {
-	for _, phi := range b.Phis() {
-		args := phi.Args[:0]
-		blocks := phi.PhiBlocks[:0]
-		for i, pb := range phi.PhiBlocks {
-			if pb != pred {
-				args = append(args, phi.Args[i])
-				blocks = append(blocks, pb)
-			}
-		}
-		phi.Args, phi.PhiBlocks = args, blocks
+	for _, phi := range b.Instrs[:b.NumPhis()] {
+		phi.RetainIncoming(func(pb *ir.Block) bool { return pb != pred })
 	}
 }
 

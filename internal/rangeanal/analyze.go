@@ -298,7 +298,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 				ids[in] = id
 				id++
 			}
-			if in.Op == ir.OpCall && in.Callee != nil && !skip[in.Callee] {
+			if callee := in.Callee(); in.Op == ir.OpCall && callee != nil && !skip[callee] {
 				sites = append(sites, site{in, nid})
 			}
 			return true
@@ -340,7 +340,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 	var args []csr.Pair[int32] // (parameter index, argument slot)
 	for i := range fns {
 		for _, st := range sites[fns[i].siteLo:fns[i].siteHi] {
-			ci, ok := fnIdx[st.in.Callee]
+			ci, ok := fnIdx[st.in.Callee()]
 			if !ok {
 				continue // outside the module: no parameters, no returns
 			}
@@ -417,9 +417,9 @@ func (b *builder) instr(in *ir.Instr, id int32) node {
 	case ir.OpSigma:
 		// The sigma's refinement also depends on the other compare
 		// operand.
-		bound := b.slot(in.Cmp.Args[1-in.CmpSide])
+		bound := b.slot(in.Cmp().Args[1-in.CmpSide])
 		b.dep(bound, id)
-		pred := in.Cmp.Pred
+		pred := in.Cmp().Pred
 		if in.CmpSide == 1 {
 			pred = pred.Swap()
 		}
@@ -432,7 +432,7 @@ func (b *builder) instr(in *ir.Instr, id int32) node {
 	case ir.OpCall:
 		// The union of the callee's returns; Top for external code
 		// and for callees that never return a value.
-		if ci, ok := b.fnIdx[in.Callee]; ok {
+		if ci, ok := b.fnIdx[in.Callee()]; ok {
 			if c := b.fns[ci]; c.retHi > c.retLo {
 				nd = node{kind: kUnion, a: c.retLo, b: c.retHi}
 			}

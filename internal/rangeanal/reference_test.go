@@ -56,15 +56,15 @@ func referenceAnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *refResult
 			continue
 		}
 		f.Instrs(func(in *ir.Instr) bool {
-			if in.Op == ir.OpCall && in.Callee != nil && !opt.Skip[in.Callee] {
-				callers[in.Callee]++
-				callees[f] = append(callees[f], in.Callee)
+			if in.Op == ir.OpCall && in.Callee() != nil && !opt.Skip[in.Callee()] {
+				callers[in.Callee()]++
+				callees[f] = append(callees[f], in.Callee())
 				for i, arg := range in.Args {
-					if i < len(in.Callee.Params) {
-						a.addCallArg(arg, in.Callee.Params[i])
+					if i < len(in.Callee().Params) {
+						a.addCallArg(arg, in.Callee().Params[i])
 					}
 				}
-				for _, ret := range a.rets[in.Callee] {
+				for _, ret := range a.rets[in.Callee()] {
 					a.addDep(ret, in)
 				}
 			}
@@ -173,7 +173,7 @@ func (a *refAnalysis) addFunc(f *ir.Func) {
 		if in.Op == ir.OpSigma {
 			// The sigma's refinement also depends on the other
 			// compare operand.
-			other := in.Cmp.Args[1-in.CmpSide]
+			other := in.Cmp().Args[1-in.CmpSide]
 			a.addDep(other, in)
 		}
 		return true
@@ -241,8 +241,8 @@ func (a *refAnalysis) evalInstr(in *ir.Instr) Interval {
 		return out
 	case ir.OpSigma:
 		src := a.get(in.Args[0])
-		bound := a.get(in.Cmp.Args[1-in.CmpSide])
-		pred := in.Cmp.Pred
+		bound := a.get(in.Cmp().Args[1-in.CmpSide])
+		pred := in.Cmp().Pred
 		if in.CmpSide == 1 {
 			pred = pred.Swap()
 		}
@@ -253,14 +253,14 @@ func (a *refAnalysis) evalInstr(in *ir.Instr) Interval {
 	case ir.OpCopy:
 		return a.get(in.Args[0])
 	case ir.OpCall:
-		if in.Callee == nil {
+		if in.Callee() == nil {
 			return Top
 		}
 		out := Bottom
-		for _, ret := range a.rets[in.Callee] {
+		for _, ret := range a.rets[in.Callee()] {
 			out = Union(out, a.get(ret))
 		}
-		if len(a.rets[in.Callee]) == 0 {
+		if len(a.rets[in.Callee()]) == 0 {
 			return Top
 		}
 		return out

@@ -140,8 +140,8 @@ func reduceFuncs(m *ir.Module, entry string, check func(*ir.Module) *ir.Module, 
 func detachCallee(m *ir.Module, f *ir.Func) {
 	for _, g := range m.Funcs {
 		g.Instrs(func(in *ir.Instr) bool {
-			if in.Op == ir.OpCall && in.Callee == f {
-				in.Callee = nil
+			if in.Op == ir.OpCall && in.Callee() == f {
+				in.SetCallee(nil)
 			}
 			return true
 		})

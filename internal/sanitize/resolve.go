@@ -57,7 +57,7 @@ func resolveBase(ptr ir.Value) (resolved, bool) {
 		case *ir.Instr:
 			switch v.Op {
 			case ir.OpAlloca:
-				r.size = v.NumElems
+				r.size = v.NumElems()
 				return r, true
 			case ir.OpMalloc:
 				return resolveMalloc(v, r)
@@ -220,7 +220,7 @@ func (p *prover) nullnessOf(v ir.Value) nullState {
 // proves about its value: "p == 0" on the taken edge means must-null,
 // "p != 0" means non-null. Other conditions prove nothing here.
 func sigmaNullFact(in *ir.Instr) nullState {
-	cmp := in.Cmp
+	cmp := in.Cmp()
 	pred := cmp.Pred
 	if in.CmpSide == 1 {
 		pred = pred.Swap()

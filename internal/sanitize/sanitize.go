@@ -137,7 +137,7 @@ type Diagnostic struct {
 }
 
 // Line returns the mini-C source line of the access, 0 if unknown.
-func (d Diagnostic) Line() int { return d.In.Line }
+func (d Diagnostic) Line() int { return int(d.In.Line) }
 
 // FuncFailure records a contained panic during one function's checks,
 // mirroring core.FuncFailure.

@@ -24,7 +24,9 @@ import (
 type sweepVerdict struct {
 	violations []string
 	summary    sanitize.Summary
-	trap       *interp.Trap
+	// trap is the code of the trap execution ended in, "" for none,
+	// and trapAt is where: the verdict outlives the program's IR.
+	trap, trapAt string
 	// earlyExit is a non-trap runtime error (e.g. division by zero);
 	// such executions still validate everything they reached.
 	earlyExit error
@@ -60,7 +62,7 @@ func runSweep(t *testing.T, programs int, seedBase int64, injected bool) {
 			_, err := mach.Run("main")
 			if err != nil {
 				if tr := interp.TrapOf(err); tr != nil && tr.Code != "" {
-					v.trap = tr
+					v.trap, v.trapAt = tr.Code, fmt.Sprintf("@%s %s", tr.Fn.FName, tr.In)
 					// A classified trap refutes a Safe verdict at its
 					// (instruction, kind).
 					k, ok := sanitize.KindOfTrap(tr.Code)
@@ -94,20 +96,20 @@ func runSweep(t *testing.T, programs int, seedBase int64, injected bool) {
 			// The injected store is on the main path, so the oracle
 			// must observe the out-of-bounds trap; anything else means
 			// the generator's guarantee (or the interpreter) broke.
-			if v.trap == nil || v.trap.Code != interp.TrapOOB {
+			if v.trap != interp.TrapOOB {
 				if v.earlyExit != nil {
 					earlyExits++ // died before the injection (e.g. div by zero)
 				} else {
-					t.Errorf("%s: injected program did not trap oob (trap=%v)\nprogram:\n%s",
-						out.Name, v.trap, srcs[i])
+					t.Errorf("%s: injected program did not trap oob (trap=%q at %s)\nprogram:\n%s",
+						out.Name, v.trap, v.trapAt, srcs[i])
 				}
 			}
 		} else {
 			// Default generator output is trap-free (modulo non-memory
 			// early exits), so Unsafe diagnostics are false positives.
-			if v.trap != nil {
-				t.Errorf("%s: default program trapped %s at @%s %s\nprogram:\n%s",
-					out.Name, v.trap.Code, v.trap.Fn.FName, v.trap.In, srcs[i])
+			if v.trap != "" {
+				t.Errorf("%s: default program trapped %s at %s\nprogram:\n%s",
+					out.Name, v.trap, v.trapAt, srcs[i])
 			}
 			if v.summary.Unsafe != 0 {
 				t.Errorf("%s: %d unsafe verdicts on a trap-free program\nprogram:\n%s",
@@ -117,7 +119,7 @@ func runSweep(t *testing.T, programs int, seedBase int64, injected bool) {
 				earlyExits++
 			}
 		}
-		if v.trap != nil {
+		if v.trap != "" {
 			traps++
 		}
 		total.Checks += v.summary.Checks

@@ -55,17 +55,12 @@ func Eliminate(f *ir.Func) int {
 		}
 		for _, phi := range blockPhis {
 			phis++
-			slot := &ir.Instr{
-				Op:       ir.OpAlloca,
-				Typ:      ir.Ptr(phi.Typ),
-				AllocTyp: phi.Typ,
-				NumElems: 1,
-			}
+			slot := ir.NewAlloca(phi.Typ, 1)
 			slot.SetName(f.FreshName(phi.Name() + ".slot"))
 			entry.Insert(0, slot)
 			// Store the incoming value at the end of each predecessor
 			// (before its terminator).
-			for i, pred := range phi.PhiBlocks {
+			for i, pred := range phi.PhiBlocks() {
 				val := resolve(phi.Args[i])
 				st := &ir.Instr{
 					Op:   ir.OpStore,

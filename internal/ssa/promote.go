@@ -77,7 +77,7 @@ func newPromoter(f *ir.Func) *promoter {
 	var cands []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpAlloca && in.NumElems == 1 && scalar(in.AllocTyp) {
+			if in.Op == ir.OpAlloca && in.NumElems() == 1 && scalar(in.AllocTyp()) {
 				cands = append(cands, in)
 			}
 		}
@@ -180,7 +180,7 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 				if prefix == "" {
 					prefix = a.Name() + "."
 				}
-				phi := &ir.Instr{Op: ir.OpPhi, Typ: a.AllocTyp}
+				phi := &ir.Instr{Op: ir.OpPhi, Typ: a.AllocTyp()}
 				phi.SetName(f.FreshName(prefix))
 				placed = append(placed, csr.Pair[placedPhi]{Key: int32(fb.Index), Val: placedPhi{phi, int32(ai)}})
 				// A phi is a new definition; propagate.
@@ -224,7 +224,7 @@ func (pr *promoter) push(a int32, v ir.Value) {
 func (pr *promoter) top(a int32) ir.Value {
 	s := pr.stacks[a]
 	if len(s) == 0 {
-		return &ir.Undef{Typ: pr.allocas[a].AllocTyp}
+		return &ir.Undef{Typ: pr.allocas[a].AllocTyp()}
 	}
 	return s[len(s)-1]
 }
@@ -420,7 +420,7 @@ func VerifySSA(f *ir.Func) error {
 			}
 			if in.Op == ir.OpPhi {
 				for i, a := range in.Args {
-					if err := check(in, a, in.PhiBlocks[i]); err != nil {
+					if err := check(in, a, in.PhiBlocks()[i]); err != nil {
 						return err
 					}
 				}

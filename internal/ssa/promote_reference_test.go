@@ -49,7 +49,7 @@ func ReferencePromote(f *ir.Func) int {
 				placed[fb] = true
 				phi := &ir.Instr{
 					Op:  ir.OpPhi,
-					Typ: a.AllocTyp,
+					Typ: a.AllocTyp(),
 				}
 				phi.SetName(f.FreshName(a.Name() + "."))
 				fb.Insert(0, phi)
@@ -82,7 +82,7 @@ func ReferencePromote(f *ir.Func) int {
 		top := func(a *ir.Instr) ir.Value {
 			s := stacks[a]
 			if len(s) == 0 {
-				return &ir.Undef{Typ: a.AllocTyp}
+				return &ir.Undef{Typ: a.AllocTyp()}
 			}
 			return s[len(s)-1]
 		}
@@ -199,7 +199,7 @@ func refPromotable(f *ir.Func) []*ir.Instr {
 	var cands []*ir.Instr
 	bad := make(map[*ir.Instr]bool)
 	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpAlloca && in.NumElems == 1 && refScalar(in.AllocTyp) {
+		if in.Op == ir.OpAlloca && in.NumElems() == 1 && refScalar(in.AllocTyp()) {
 			cands = append(cands, in)
 		}
 		return true

@@ -206,8 +206,8 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 			case ir.OpAlloca, ir.OpMalloc:
 				seedObj(in)
 			case ir.OpCall:
-				if in.Callee != nil && !opt.Skip[in.Callee] {
-					callers[in.Callee] = true
+				if callee := in.Callee(); callee != nil && !opt.Skip[callee] {
+					callers[callee] = true
 				}
 			}
 			return true
@@ -260,14 +260,14 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 					s.join(a.classPtd(t), a.classPtd(a.node(in.Args[1])))
 				}
 			case ir.OpCall:
-				if in.Callee != nil && !opt.Skip[in.Callee] {
+				if callee := in.Callee(); callee != nil && !opt.Skip[callee] {
 					for i, arg := range in.Args {
-						if i < len(in.Callee.Params) && ir.IsPtr(in.Callee.Params[i].Typ) {
-							cp(arg, in.Callee.Params[i])
+						if i < len(callee.Params) && ir.IsPtr(callee.Params[i].Typ) {
+							cp(arg, callee.Params[i])
 						}
 					}
 					if ir.IsPtr(in.Typ) {
-						in.Callee.Instrs(func(r *ir.Instr) bool {
+						callee.Instrs(func(r *ir.Instr) bool {
 							if r.Op == ir.OpRet && len(r.Args) == 1 {
 								cp(r.Args[0], in)
 							}
