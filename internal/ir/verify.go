@@ -32,7 +32,8 @@ func VerifyFunc(f *Func) error {
 // nameSet is the set of names a function defines. Verify reuses one
 // across a module's functions: a name is in the set only if it
 // carries the current function's stamp, so starting the next function
-// clears nothing.
+// clears nothing. (Clearing a map costs its capacity, which the
+// module's largest function sets, once per function.)
 type nameSet struct {
 	stamp map[string]int32
 	cur   int32
