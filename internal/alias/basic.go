@@ -10,7 +10,10 @@ import (
 // cannot alias in well-formed programs — plus constant-offset
 // reasoning within a common base.
 type Basic struct {
-	escaped map[ir.Value]bool
+	// vals numbers the module's values, and escaped[vals.Slot(a)]
+	// marks an allocation a whose address escapes its function.
+	vals    *ir.ValueTable
+	escaped []bool
 	// UnknownSizes makes the analysis ignore access sizes and
 	// offsets, degrading it to pure allocation-site granularity.
 	// This mirrors how the paper's applicability experiment queries
@@ -29,7 +32,8 @@ type Basic struct {
 // allocations escape their function (address stored, passed to a
 // call, or returned).
 func NewBasic(m *ir.Module) *Basic {
-	b := &Basic{escaped: map[ir.Value]bool{}}
+	b := &Basic{vals: ir.NewValueTable(m)}
+	b.escaped = make([]bool, b.vals.Len())
 	for _, f := range m.Funcs {
 		b.computeEscapes(f)
 	}
@@ -46,7 +50,9 @@ func (ba *Basic) computeEscapes(f *ir.Func) {
 		var d decomposed
 		d, buf = decompose(v, buf[:0])
 		if kind := underlying(d.base); kind == objAlloca || kind == objMalloc {
-			ba.escaped[d.base] = true
+			if slot := ba.vals.Slot(d.base); slot >= 0 {
+				ba.escaped[slot] = true
+			}
 		}
 	}
 	f.Instrs(func(in *ir.Instr) bool {
@@ -90,9 +96,14 @@ func (ba *Basic) Alias(a, b Location) Result {
 }
 
 // nonEscapingLocal reports whether p is rooted at an allocation of its
-// own function that never escapes it.
+// own function that never escapes it. An allocation of another module
+// was never seen to escape.
 func (ba *Basic) nonEscapingLocal(p *Pointer) bool {
-	return (p.kind == objAlloca || p.kind == objMalloc) && !ba.escaped[p.d.base]
+	if p.kind != objAlloca && p.kind != objMalloc {
+		return false
+	}
+	slot := ba.vals.Slot(p.d.base)
+	return slot < 0 || !ba.escaped[slot]
 }
 
 // pair is the basic-aa rule over two prepared pointers; aLocal and

@@ -132,8 +132,13 @@ type Workspace struct {
 	answers  []Result
 	counts   []*Counts
 
-	// The current function's pointers by base and by class.
-	bases map[ir.Value]int32
+	// The current function's pointers by base and by class. baseOf[s]
+	// numbers the base with slot s (see baseSlot), or is -1; touched
+	// lists the slots set, which classify resets. Bases without a slot,
+	// constants and undefs, are numbered through others.
+	baseOf  []int32
+	touched []int32
+	others  []otherBase
 	// base[i] numbers ptrs[i]'s base, and class[i] its class.
 	base, class []int32
 	// keys[i*len(prepared)+l] is leaf l's key of ptrs[i].
@@ -153,6 +158,12 @@ type Workspace struct {
 	asked []classPair
 }
 
+// otherBase is the number of a base that has no slot.
+type otherBase struct {
+	v ir.Value
+	n int32
+}
+
 // classPair is a number of pointer pairs between classes a <= b,
 // packed as a<<32 | b.
 type classPair struct {
@@ -168,7 +179,6 @@ func (p *Plan) NewWorkspace() *Workspace {
 		prepared: make([]Prepared, len(p.leaves)),
 		answers:  make([]Result, len(p.leaves)),
 		counts:   make([]*Counts, len(p.rows)),
-		bases:    map[ir.Value]int32{},
 	}
 	for l, an := range p.leaves {
 		if fp, ok := an.(FuncPreparer); ok {
@@ -209,24 +219,67 @@ func (w *Workspace) EvaluateFunc(f *ir.Func, rep *Report) {
 	for r, an := range w.plan.rows {
 		w.counts[r] = rep.PerAnalysis[an.Name()]
 	}
-	w.classify()
+	w.classify(f)
 	w.askSameBase()
 	w.askExceptions()
 	w.askClassPairs()
 }
 
-// classify numbers the bases and the classes of the pointers and
-// groups the pointers by both.
-func (w *Workspace) classify() {
+// baseSlot returns the slot of base v of f's pointers: its id for a
+// value of f, NumValues plus its position for a global of f's module,
+// and -1 for anything else.
+func baseSlot(f *ir.Func, v ir.Value) int {
+	if g, ok := v.(*ir.Global); ok {
+		if f.Mod == nil {
+			return -1
+		}
+		if i := f.Mod.GlobalIndex(g); i >= 0 {
+			return f.NumValues() + i
+		}
+		return -1
+	}
+	if g, id := ir.ValueID(v); g == f && id < f.NumValues() {
+		return id
+	}
+	return -1
+}
+
+// classify numbers the bases of f's pointers in order of first
+// occurrence and the classes of the pointers, and groups the pointers
+// by both.
+func (w *Workspace) classify(f *ir.Func) {
 	n, nl := len(w.ptrs), len(w.prepared)
-	clear(w.bases)
+	slots := f.NumValues()
+	if f.Mod != nil {
+		slots += len(f.Mod.Globals)
+	}
+	for len(w.baseOf) < slots {
+		w.baseOf = append(w.baseOf, -1)
+	}
 	w.base, w.byClass = slices.Grow(w.base[:0], n), slices.Grow(w.byClass[:0], n)
 	w.keys = slices.Grow(w.keys[:0], n*nl)
+	bases := int32(0)
 	for i := range w.ptrs {
-		b, ok := w.bases[w.ptrs[i].d.base]
-		if !ok {
-			b = int32(len(w.bases))
-			w.bases[w.ptrs[i].d.base] = b
+		b := int32(-1)
+		if s := baseSlot(f, w.ptrs[i].d.base); s >= 0 {
+			if w.baseOf[s] < 0 {
+				w.baseOf[s] = bases
+				bases++
+				w.touched = append(w.touched, int32(s))
+			}
+			b = w.baseOf[s]
+		} else {
+			for _, o := range w.others {
+				if o.v == w.ptrs[i].d.base {
+					b = o.n
+					break
+				}
+			}
+			if b < 0 {
+				b = bases
+				bases++
+				w.others = append(w.others, otherBase{w.ptrs[i].d.base, b})
+			}
 		}
 		w.base = append(w.base, b)
 		for _, pr := range w.prepared {
@@ -254,6 +307,10 @@ func (w *Workspace) classify() {
 		w.class[i] = int32(len(w.first) - 1)
 	}
 	w.first = append(w.first, int32(n))
+	for _, s := range w.touched {
+		w.baseOf[s] = -1
+	}
+	w.touched, w.others = w.touched[:0], w.others[:0]
 	w.byBase = append(w.byBase[:0], w.byClass...)
 	slices.SortStableFunc(w.byBase, func(a, b int32) int { return cmp.Compare(w.base[a], w.base[b]) })
 }

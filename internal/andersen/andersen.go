@@ -49,15 +49,15 @@ const unknownObj = 0
 // Analysis holds the solved points-to sets in resolved form: one
 // hash-consed sparse bitmap of object ids per pointer value.
 type Analysis struct {
-	// pts maps each pointer value with a non-empty points-to set to
-	// the index of that set in sets.
-	pts map[ir.Value]int32
+	// vals numbers the module's values as they were analyzed, and
+	// pts[vals.Slot(v)] is the index in sets of v's points-to set, or
+	// -1 when the set is empty.
+	vals *ir.ValueTable
+	pts  []int32
 	// sets are the distinct points-to sets, sets of object ids. They
 	// are interned: equal sets share one index and one instance, and
 	// must not be mutated.
 	sets []*bitvec.Set
-	// objOf maps allocation sites to their object id.
-	objOf map[ir.Value]int
 	// objs[i] is the allocation site of object i (nil for unknown).
 	objs []ir.Value
 	// degraded records budget exhaustion. Andersen's solver grows
@@ -93,12 +93,7 @@ type Opts struct {
 // query answers MayAlias and every PointsTo reports unknown. The
 // harness substitutes it when the whole stage fails.
 func Unanalyzed(cause error) *Analysis {
-	return &Analysis{
-		pts:      map[ir.Value]int32{},
-		objOf:    map[ir.Value]int{},
-		objs:     []ir.Value{nil},
-		degraded: cause,
-	}
+	return &Analysis{objs: []ir.Value{nil}, degraded: cause}
 }
 
 // Analyze runs the analysis on a whole module.
@@ -108,11 +103,7 @@ func Analyze(m *ir.Module) *Analysis {
 
 // AnalyzeCtx is Analyze under a context, budget and skip set.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
-	a := &Analysis{
-		pts:   map[ir.Value]int32{},
-		objOf: map[ir.Value]int{},
-		objs:  []ir.Value{nil}, // unknown
-	}
+	a := newAnalysis(m)
 	s := newSolver(a, nodeHint(m))
 	applyConstraints(m, opt, s)
 	bgt := opt.Budget.Start(ctx)
@@ -120,6 +111,28 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
 	a.degraded = bgt.Err()
 	s.resolve()
 	return a
+}
+
+// newAnalysis returns an Analysis of m with no points-to sets yet.
+func newAnalysis(m *ir.Module) *Analysis {
+	a := &Analysis{
+		vals: ir.NewValueTable(m),
+		objs: []ir.Value{nil}, // unknown
+	}
+	a.pts = make([]int32, a.vals.Len())
+	for i := range a.pts {
+		a.pts[i] = -1
+	}
+	return a
+}
+
+// setOf returns the index in sets of v's points-to set, or -1 when the
+// set is empty or v is not a value of the analyzed module.
+func (a *Analysis) setOf(v ir.Value) int32 {
+	if slot := a.vals.Slot(v); slot >= 0 {
+		return a.pts[slot]
+	}
+	return -1
 }
 
 // applyConstraints walks the module once and feeds every constraint to
@@ -235,24 +248,23 @@ type constraintSink interface {
 	addStoreUnknown(p ir.Value)
 }
 
-func isPtrLike(v ir.Value) bool {
-	// Null constants typed as pointers carry no objects; they are
-	// handled implicitly by empty sets.
-	_, isConst := v.(*ir.Const)
-	return !isConst
-}
-
-// solver is the sparse constraint-graph solver.
+// solver is the sparse constraint-graph solver. Constants and undefs
+// get no node: no constraint adds an object to one or copies into
+// one, so their sets stay empty, and every constraint that reads one
+// is dropped (see node).
 type solver struct {
 	a *Analysis
-	// nodeOf maps a value to its (initial) node id; query time
-	// resolves through the union-find.
-	nodeOf map[ir.Value]int32
-	// vals records node creation order for the final resolve.
-	vals []ir.Value
-	// memNode[o] is the node holding the contents of object o, created
-	// lazily (most objects never have pointers stored into them).
-	memNode map[int]int32
+	// nodeOf[slot] is the (initial) node id of the value with that
+	// slot in a.vals, or -1; query time resolves through the
+	// union-find.
+	nodeOf []int32
+	// slots records the values' slots in node creation order for the
+	// final resolve.
+	slots []int32
+	// memNode[o] is the node holding the contents of object o, or -1
+	// until it is first needed (most objects never have pointers
+	// stored into them).
+	memNode []int32
 
 	// Per-node state, indexed by node id. Only representatives carry
 	// meaningful sets after a collapse.
@@ -304,10 +316,9 @@ func nodeHint(m *ir.Module) int {
 }
 
 func newSolver(a *Analysis, hint int) *solver {
-	return &solver{
+	s := &solver{
 		a:          a,
-		nodeOf:     make(map[ir.Value]int32, hint),
-		memNode:    map[int]int32{},
+		nodeOf:     make([]int32, a.vals.Len()),
 		parent:     make([]int32, 0, hint),
 		rank:       make([]uint8, 0, hint),
 		pts:        make([]*bitvec.Set, 0, hint),
@@ -320,6 +331,10 @@ func newSolver(a *Analysis, hint int) *solver {
 
 		sccThreshold: 256,
 	}
+	for i := range s.nodeOf {
+		s.nodeOf[i] = -1
+	}
+	return s
 }
 
 // allocSet hands out zero-value sets from a chunk, two per node:
@@ -349,18 +364,28 @@ func (s *solver) newNode() int32 {
 	return id
 }
 
+// node returns v's node, creating it on first use, or -1 when v can
+// have none: only a global, parameter or instruction of the module
+// can, not a constant or an undef.
 func (s *solver) node(v ir.Value) int32 {
-	if n, ok := s.nodeOf[v]; ok {
+	slot := s.a.vals.Slot(v)
+	if slot < 0 {
+		return -1
+	}
+	if n := s.nodeOf[slot]; n >= 0 {
 		return n
 	}
 	n := s.newNode()
-	s.nodeOf[v] = n
-	s.vals = append(s.vals, v)
+	s.nodeOf[slot] = n
+	s.slots = append(s.slots, int32(slot))
 	return n
 }
 
 func (s *solver) mem(o int) int32 {
-	if n, ok := s.memNode[o]; ok {
+	for len(s.memNode) <= o {
+		s.memNode = append(s.memNode, -1)
+	}
+	if n := s.memNode[o]; n >= 0 {
 		return n
 	}
 	n := s.newNode()
@@ -428,10 +453,8 @@ func (s *solver) queueDelta(n int32, d *bitvec.Set) {
 // --- constraintSink ---
 
 func (s *solver) newObj(site ir.Value) int {
-	id := len(s.a.objs)
 	s.a.objs = append(s.a.objs, site)
-	s.a.objOf[site] = id
-	return id
+	return len(s.a.objs) - 1
 }
 
 func (s *solver) seedUnknownContents() {
@@ -452,10 +475,9 @@ func (s *solver) addObj(n int32, obj int) {
 }
 
 func (s *solver) addCopy(src, dst ir.Value) {
-	if !ir.IsPtr(src.Type()) && !isPtrLike(src) {
-		return
+	if u := s.node(src); u >= 0 {
+		s.addEdge(u, s.node(dst))
 	}
-	s.addEdge(s.node(src), s.node(dst))
 }
 
 // addEdge inserts the copy edge u→v and pushes u's current set across
@@ -475,7 +497,11 @@ func (s *solver) addEdge(u, v int32) {
 }
 
 func (s *solver) addLoad(p, dst ir.Value) {
-	pn, dn := s.find(s.node(p)), s.node(dst)
+	pn := s.node(p)
+	if pn < 0 {
+		return
+	}
+	pn, dn := s.find(pn), s.node(dst)
 	s.loadsTo[pn] = append(s.loadsTo[pn], dn)
 	// Objects already in pts(p) must be wired now; re-queue the full
 	// set as delta so run() adds the contents edges.
@@ -483,13 +509,21 @@ func (s *solver) addLoad(p, dst ir.Value) {
 }
 
 func (s *solver) addStore(val, p ir.Value) {
-	pn, vn := s.find(s.node(p)), s.node(val)
+	pn, vn := s.node(p), s.node(val)
+	if pn < 0 || vn < 0 {
+		return
+	}
+	pn = s.find(pn)
 	s.storesFrom[pn] = append(s.storesFrom[pn], vn)
 	s.requeueAll(pn)
 }
 
 func (s *solver) addStoreUnknown(p ir.Value) {
-	pn := s.find(s.node(p))
+	pn := s.node(p)
+	if pn < 0 {
+		return
+	}
+	pn = s.find(pn)
 	s.storeUnk[pn] = true
 	s.requeueAll(pn)
 }
@@ -677,23 +711,25 @@ func (s *solver) collapseCycles() {
 }
 
 // resolve snapshots the solved graph into Analysis.pts, hash-consing
-// the final sets so equal points-to sets share one index.
+// the final sets, in node creation order, so equal points-to sets
+// share one index.
 func (s *solver) resolve() {
 	in := bitvec.NewInterner()
-	cache := map[int32]int32{} // representative → set index, -1 when empty
-	for _, v := range s.vals {
-		rep := s.find(s.nodeOf[v])
-		set, ok := cache[rep]
-		if !ok {
-			set = -1
+	// cache[rep] is the set index of representative rep, -1 when its
+	// set is empty and -2 until it is first needed.
+	cache := make([]int32, len(s.parent))
+	for i := range cache {
+		cache[i] = -2
+	}
+	for _, slot := range s.slots {
+		rep := s.find(s.nodeOf[slot])
+		if cache[rep] == -2 {
+			cache[rep] = -1
 			if !s.pts[rep].Empty() {
-				set = in.Index(s.pts[rep])
+				cache[rep] = in.Index(s.pts[rep])
 			}
-			cache[rep] = set
 		}
-		if set >= 0 {
-			s.a.pts[v] = set
-		}
+		s.a.pts[slot] = cache[rep]
 	}
 	s.a.sets = in.Sets()
 }
@@ -704,8 +740,8 @@ func (a *Analysis) PointsTo(v ir.Value) (sites []ir.Value, unknown bool) {
 	if a.degraded != nil {
 		return nil, true
 	}
-	i, ok := a.pts[v]
-	if !ok {
+	i := a.setOf(v)
+	if i < 0 {
 		return nil, false
 	}
 	a.sets[i].ForEach(func(o int) bool {
@@ -728,8 +764,8 @@ func (a *Analysis) Alias(la, lb alias.Location) alias.Result {
 // knownSet is the per-pointer half of Alias: the index in sets of v's
 // points-to set when it is non-empty and fully known, -1 otherwise.
 func (a *Analysis) knownSet(v ir.Value) int32 {
-	i, ok := a.pts[v]
-	if a.degraded != nil || !ok || a.sets[i].Empty() || a.sets[i].Has(unknownObj) {
+	i := a.setOf(v)
+	if a.degraded != nil || i < 0 || a.sets[i].Empty() || a.sets[i].Has(unknownObj) {
 		return -1
 	}
 	return i

@@ -1,0 +1,50 @@
+package andersen
+
+import (
+	"testing"
+
+	"repro/internal/alias"
+	"repro/internal/ir"
+	"repro/internal/minic"
+)
+
+const twoMallocs = `
+int f() {
+  int *p = malloc(8);
+  int *q = malloc(8);
+  *p = 1;
+  *q = 2;
+  return *p + *q;
+}
+`
+
+// TestForeignValuesUntracked: a value that is not a pointer value of
+// the analyzed module points nowhere known and may alias anything.
+// The other module's mallocs sit where the analyzed module's sit, so a
+// set read through the wrong slot would answer NoAlias.
+func TestForeignValuesUntracked(t *testing.T) {
+	m, a := analyze(t, twoMallocs)
+	f := m.FuncByName("f")
+	p, q := findOp(f, ir.OpMalloc, 0), findOp(f, ir.OpMalloc, 1)
+	if got := a.Alias(alias.Loc(p), alias.Loc(q)); got != alias.NoAlias {
+		t.Fatalf("p vs q = %s, want NoAlias", got)
+	}
+	other := minic.MustCompile("t", twoMallocs).FuncByName("f")
+	detached := &ir.Instr{Op: ir.OpMalloc, Typ: ir.Ptr(ir.I64), Args: []ir.Value{ir.ConstInt(8)}}
+	for _, tc := range []struct {
+		name string
+		v    ir.Value
+	}{
+		{"value of another module", findOp(other, ir.OpMalloc, 0)},
+		{"detached instruction", detached},
+		{"constant", &ir.Const{Val: 0, Typ: ir.Ptr(ir.I64)}},
+		{"undef", &ir.Undef{Typ: ir.Ptr(ir.I64)}},
+	} {
+		if sites, unknown := a.PointsTo(tc.v); sites != nil || unknown {
+			t.Errorf("%s: PointsTo = %v, %v, want nil, false", tc.name, sites, unknown)
+		}
+		if got := a.Alias(alias.Loc(tc.v), alias.Loc(q)); got != alias.MayAlias {
+			t.Errorf("%s: Alias with q = %s, want MayAlias", tc.name, got)
+		}
+	}
+}

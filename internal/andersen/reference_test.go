@@ -23,11 +23,7 @@ func AnalyzeReference(m *ir.Module) *Analysis {
 // skip set. The returned Analysis answers every PointsTo and Alias
 // query identically to AnalyzeCtx on the same inputs.
 func AnalyzeReferenceCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
-	a := &Analysis{
-		pts:   map[ir.Value]int32{},
-		objOf: map[ir.Value]int{},
-		objs:  []ir.Value{nil}, // unknown
-	}
+	a := newAnalysis(m)
 	s := &refSolver{
 		a:      a,
 		pts:    map[ir.Value]map[int]bool{},
@@ -128,10 +124,8 @@ func (s *refSolver) memOf(o int) *refMemNode {
 // --- constraintSink ---
 
 func (s *refSolver) newObj(site ir.Value) int {
-	id := len(s.a.objs)
 	s.a.objs = append(s.a.objs, site)
-	s.a.objOf[site] = id
-	return id
+	return len(s.a.objs) - 1
 }
 
 func (s *refSolver) seedUnknownContents() {
@@ -150,6 +144,13 @@ func (s *refSolver) propagate(dst ir.Value, obj int) {
 		s.ptsOf(dst)[obj] = true
 		s.enqueue(dst)
 	}
+}
+
+func isPtrLike(v ir.Value) bool {
+	// Null constants typed as pointers carry no objects; they are
+	// handled implicitly by empty sets.
+	_, isConst := v.(*ir.Const)
+	return !isConst
 }
 
 func (s *refSolver) addCopy(src, dst ir.Value) {
@@ -266,7 +267,7 @@ func (s *refSolver) resolve() {
 		for o := range m {
 			set.Add(o)
 		}
-		s.a.pts[v] = in.Index(set)
+		s.a.pts[s.a.vals.Slot(v)] = in.Index(set)
 	}
 	s.a.sets = in.Sets()
 }

@@ -166,9 +166,49 @@ func (r *Result) markDegraded(f *ir.Func, cause string) {
 // over variable indices. Variables may share one set instance, so sets
 // are never mutated once stored.
 type funcResult struct {
-	index map[ir.Value]int
+	// f is the function analyzed, and index[id] the variable index of
+	// its value with that id, or -1. The table is valid only as long
+	// as f's ids are (see ir.Func.RenumberValues).
+	f     *ir.Func
+	index []int32
 	vars  []ir.Value
 	sets  []*bitvec.Set
+}
+
+// enumerate numbers f's variables as the solve and every rebind do:
+// parameters, then instruction results in block order. It returns the
+// numbering with no sets, and the number of instructions. n presizes
+// vars: an upper bound spares the appends their regrowth.
+func enumerate(f *ir.Func, n int) (*funcResult, int) {
+	fr := &funcResult{f: f, index: make([]int32, f.NumValues()), vars: make([]ir.Value, 0, n)}
+	for i := range fr.index {
+		fr.index[i] = -1
+	}
+	for _, p := range f.Params {
+		fr.index[p.ID()] = int32(len(fr.vars))
+		fr.vars = append(fr.vars, p)
+	}
+	instrs := 0
+	f.Instrs(func(in *ir.Instr) bool {
+		instrs++
+		if in.HasResult() {
+			fr.index[in.ID()] = int32(len(fr.vars))
+			fr.vars = append(fr.vars, in)
+		}
+		return true
+	})
+	return fr, instrs
+}
+
+// indexOf returns v's variable index, or -1 when v is not a variable
+// of fr's function: a constant, a global, an undef, a detached
+// instruction or a value of another function.
+func (fr *funcResult) indexOf(v ir.Value) int32 {
+	f, id := ir.ValueID(v)
+	if f != fr.f || id < 0 || id >= len(fr.index) {
+		return -1
+	}
+	return fr.index[id]
 }
 
 // constraint kinds.
@@ -321,9 +361,7 @@ func analyzeModule(ctx context.Context, m *ir.Module, ranges *rangeanal.Result, 
 
 // emptyFuncResult is the degraded per-function result: no indexed
 // variables, so every query answers false.
-func emptyFuncResult() *funcResult {
-	return &funcResult{index: map[ir.Value]int{}}
-}
+func emptyFuncResult() *funcResult { return &funcResult{} }
 
 // analyzeFuncHardened runs one function's analysis under its budget
 // and, when opt.Recover is set, under panic containment. On failure
@@ -400,10 +438,7 @@ func (fl FuncLT) Index(v ir.Value) int32 {
 	if fl.fr == nil {
 		return -1
 	}
-	if i, ok := fl.fr.index[v]; ok {
-		return int32(i)
-	}
-	return -1
+	return fl.fr.indexOf(v)
 }
 
 // Less reports whether variable i is proven strictly less than
@@ -435,8 +470,8 @@ func (r *Result) LT(x ir.Value) []ir.Value {
 	if fr == nil {
 		return nil
 	}
-	xi, ok := fr.index[x]
-	if !ok {
+	xi := fr.indexOf(x)
+	if xi < 0 {
 		return nil
 	}
 	idxs := fr.sets[xi].Elems()
@@ -481,25 +516,8 @@ func analyzeFunc(f *ir.Func, ranges *rangeanal.Result, opt Options) (*funcResult
 // claims nothing.
 func analyzeFuncBudgeted(f *ir.Func, ranges *rangeanal.Result, opt Options, seeds [][2]int,
 	bgt *budget.B) (*funcResult, Stats) {
-	fr := &funcResult{index: map[ir.Value]int{}}
-	addVar := func(v ir.Value) {
-		if _, ok := fr.index[v]; !ok {
-			fr.index[v] = len(fr.vars)
-			fr.vars = append(fr.vars, v)
-		}
-	}
-	for _, p := range f.Params {
-		addVar(p)
-	}
-	st := Stats{SetSizes: map[int]int{}}
-	f.Instrs(func(in *ir.Instr) bool {
-		st.Instrs++
-		if in.HasResult() {
-			addVar(in)
-		}
-		return true
-	})
-	st.Vars = len(fr.vars)
+	fr, instrs := enumerate(f, f.NumValues())
+	st := Stats{Instrs: instrs, Vars: len(fr.vars), SetSizes: map[int]int{}}
 
 	gen := &generator{fr: fr, ranges: ranges, opt: opt}
 	cons := make([]constraint, len(fr.vars))
@@ -513,7 +531,7 @@ func analyzeFuncBudgeted(f *ir.Func, ranges *rangeanal.Result, opt Options, seed
 		if bgt.Tick() != nil {
 			return false // exhausted: solve() bails on its first tick
 		}
-		cons[fr.index[in]] = gen.constraintFor(in)
+		cons[fr.index[in.ID()]] = gen.constraintFor(in)
 		return true
 	})
 	for _, s := range seeds {
@@ -521,9 +539,8 @@ func analyzeFuncBudgeted(f *ir.Func, ranges *rangeanal.Result, opt Options, seed
 		if lo < 0 || hi < 0 || lo >= len(f.Params) || hi >= len(f.Params) {
 			continue
 		}
-		li := fr.index[f.Params[lo]]
-		hiIdx := fr.index[f.Params[hi]]
-		c := &cons[hiIdx]
+		li := int(fr.index[lo])
+		c := &cons[fr.index[hi]]
 		if c.kind == cEmpty {
 			*c = constraint{kind: cUnion}
 		}
@@ -566,8 +583,8 @@ func (g *generator) signOf(v ir.Value) (pos, neg, nonneg, nonpos bool) {
 }
 
 func (g *generator) idx(v ir.Value) (int, bool) {
-	i, ok := g.fr.index[v]
-	return i, ok
+	i := g.fr.indexOf(v)
+	return int(i), i >= 0
 }
 
 // constraintFor implements the rules of Figure 7, extended to GEPs

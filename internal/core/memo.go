@@ -87,39 +87,25 @@ func exportFunc(fr *funcResult, st Stats) *FuncArtifact {
 
 // bindFunc rehydrates an artifact onto f, which must have the same
 // canonical text as the function the artifact was exported from. The
-// variable enumeration mirrors analyzeFuncBudgeted exactly (params,
-// then instruction results in block order), and every reference is
-// verified positionally; any mismatch reports ok=false and the
-// caller recomputes.
+// variables are numbered by enumerate, as the solve numbers them
+// (params, then instruction results in block order), and every
+// reference is verified positionally; any mismatch reports ok=false
+// and the caller recomputes. Every set must list its members in
+// ascending order, in range, and never its own variable: the solve
+// strips x from LT(x), and a self member would make LessThan(x, x)
+// true, which SRAA turns into an unsound NoAlias.
 //
 // A rebind has to cost less than the solve it replaces, so it compares
-// names without building Ref strings, presizes the index, builds each
-// set from its sorted members in one pass, shares one empty set, and
-// hands back the artifact's set-size histogram rather than a copy: the
-// caller only reads it, and artifacts are never mutated.
+// names without building Ref strings, builds each set from its sorted
+// members in one pass, shares one empty set, and hands back the
+// artifact's set-size histogram rather than a copy: the caller only
+// reads it, and artifacts are never mutated.
 func bindFunc(f *ir.Func, art *FuncArtifact) (*funcResult, Stats, bool) {
 	n := len(art.Vars)
 	if len(art.Sets) != n {
 		return nil, Stats{}, false
 	}
-	fr := &funcResult{index: make(map[ir.Value]int, n), vars: make([]ir.Value, 0, n)}
-	add := func(v ir.Value) {
-		if _, dup := fr.index[v]; !dup {
-			fr.index[v] = len(fr.vars)
-			fr.vars = append(fr.vars, v)
-		}
-	}
-	for _, p := range f.Params {
-		add(p)
-	}
-	instrs := 0
-	f.Instrs(func(in *ir.Instr) bool {
-		instrs++
-		if in.HasResult() {
-			add(in)
-		}
-		return true
-	})
+	fr, instrs := enumerate(f, n)
 	if len(fr.vars) != n || art.Stats.Instrs != instrs || art.Stats.Vars != n {
 		return nil, Stats{}, false
 	}
@@ -138,7 +124,7 @@ func bindFunc(f *ir.Func, art *FuncArtifact) (*funcResult, Stats, bool) {
 			continue
 		}
 		s, ok := bitvec.FromSorted(idxs)
-		if !ok || int(idxs[len(idxs)-1]) >= n {
+		if !ok || int(idxs[len(idxs)-1]) >= n || s.Has(i) {
 			return nil, Stats{}, false
 		}
 		fr.sets[i] = s

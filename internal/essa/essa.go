@@ -141,7 +141,7 @@ func SplitSubtractions(f *ir.Func, oracle RangeOracle) int {
 				out = append(make([]*ir.Instr, 0, len(b.Instrs)+1), b.Instrs[:i]...)
 			}
 			cp := ir.NewCopy(x, in)
-			cp.Blk = b
+			b.Attach(cp)
 			cp.SetName(f.FreshName(x.Name() + ".c"))
 			out = append(out, in, cp)
 			roots[cp] = x

@@ -85,9 +85,24 @@ func (b *Block) FirstNonPhi() int {
 	return len(b.Instrs)
 }
 
+// Attach makes in an instruction of b without placing it: the caller
+// puts it into b.Instrs. Insert and Append call it, and so does every
+// pass that splices instructions in by hand. An instruction without an
+// id, or with an id of another function, takes b's function's next id;
+// one that moves within its function keeps its id.
+func (b *Block) Attach(in *Instr) {
+	if in.id == 0 || in.Blk == nil || in.Blk.Fn != b.Fn {
+		in.id = 0
+		if b.Fn != nil {
+			in.id = b.Fn.newValueID() + 1
+		}
+	}
+	in.Blk = b
+}
+
 // Insert places in at position i, shifting later instructions.
 func (b *Block) Insert(i int, in *Instr) {
-	in.Blk = b
+	b.Attach(in)
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[i+1:], b.Instrs[i:])
 	b.Instrs[i] = in
@@ -95,7 +110,7 @@ func (b *Block) Insert(i int, in *Instr) {
 
 // Append places in at the end of the block.
 func (b *Block) Append(in *Instr) {
-	in.Blk = b
+	b.Attach(in)
 	b.Instrs = append(b.Instrs, in)
 }
 
@@ -117,6 +132,13 @@ type Func struct {
 
 	nextID    int
 	usedNames map[string]bool
+
+	// instrIDs counts the value ids handed to instructions; see
+	// NumValues.
+	instrIDs int32
+	// index is the position AddFunc gave the function in Mod.Funcs, a
+	// hint a ValueTable checks before it trusts it.
+	index int
 
 	// labels counts the blocks of Blocks by label, so NewBlock finds
 	// a collision without a scan. labelsOf records the length, the
@@ -273,6 +295,35 @@ func (f *Func) NumInstrs() int {
 	return n
 }
 
+// NumValues bounds the function's value ids: every parameter and
+// every instruction has an id in [0, NumValues()). Parameters take
+// 0 to len(Params)-1, their Index, and each instruction that joins the
+// function takes the next id. A deleted instruction leaves a hole, and
+// nothing reuses its id until RenumberValues.
+func (f *Func) NumValues() int { return len(f.Params) + int(f.instrIDs) }
+
+func (f *Func) newValueID() int32 {
+	id := int32(len(f.Params)) + f.instrIDs
+	f.instrIDs++
+	return id
+}
+
+// RenumberValues closes the holes deletions left: the instructions
+// take ids len(Params), len(Params)+1, ... in block order. A table
+// indexed by id is valid only until the next transform of f, and this
+// one invalidates every such table; ssa.Promote calls it once, at its
+// end.
+func (f *Func) RenumberValues() {
+	id := int32(len(f.Params))
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			id++
+			in.id = id
+		}
+	}
+	f.instrIDs = id - int32(len(f.Params))
+}
+
 // Values returns every SSA value defined in the function: parameters
 // first, then instruction results in block order.
 func (f *Func) Values() []Value {
@@ -302,7 +353,7 @@ func NewModule(name string) *Module { return &Module{Name: name} }
 // AddGlobal declares a global with the given element type and returns
 // it. The global's value type is a pointer to elem.
 func (m *Module) AddGlobal(name string, elem Type) *Global {
-	g := &Global{GName: name, Elem: elem}
+	g := &Global{GName: name, Elem: elem, index: len(m.Globals)}
 	m.Globals = append(m.Globals, g)
 	return g
 }
@@ -323,7 +374,7 @@ func (m *Module) AddFunc(name string, ret Type, paramNames []string, paramTypes 
 	if len(paramNames) != len(paramTypes) {
 		panic("ir: AddFunc parameter name/type count mismatch")
 	}
-	f := &Func{FName: name, RetTyp: ret, Mod: m}
+	f := &Func{FName: name, RetTyp: ret, Mod: m, index: len(m.Funcs)}
 	for i := range paramNames {
 		f.Params = append(f.Params, &Param{
 			PName: paramNames[i], Typ: paramTypes[i], Fn: f, Index: i,

@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzParse hardens the textual-IR parser against arbitrary input: it
-// must never panic, and whenever it accepts a module, the printed form
-// must equal the reference printer's and reparse to the same text
-// (print∘parse is a projection). Seeds live in testdata/fuzz/FuzzParse
-// alongside the f.Add literals.
+// must never panic, and whenever it accepts a module, every function
+// verifies with dense value ids, and the printed form must equal the
+// reference printer's and reparse to the same text (print∘parse is a
+// projection). Seeds live in testdata/fuzz/FuzzParse alongside the
+// f.Add literals.
 func FuzzParse(f *testing.F) {
 	f.Add(`module "m"
 
@@ -77,6 +78,14 @@ join:
 		m, err := ir.Parse(src)
 		if err != nil {
 			return
+		}
+		for _, fn := range m.Funcs {
+			if err := ir.VerifyFunc(fn); err != nil {
+				t.Fatalf("accepted module fails VerifyFunc: %v\ninput:\n%q", err, src)
+			}
+			if n := len(fn.Params) + fn.NumInstrs(); fn.NumValues() != n {
+				t.Fatalf("@%s: NumValues() = %d after parsing, want %d dense ids", fn.FName, fn.NumValues(), n)
+			}
 		}
 		text := m.String()
 		if want := refModule(m); text != want {

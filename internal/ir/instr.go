@@ -171,9 +171,9 @@ func (p CmpPred) Eval(a, b int64) bool {
 // payload. Instructions that produce a value implement Value.
 //
 // The layout is deliberate. The four one-byte fields and Line share
-// the first word, and the struct is 104 bytes, so it fits the 112-byte
-// size class with room for a 4-byte value id (DESIGN.md, "The IR
-// layout"; TestInstrSize pins it).
+// the first word, and the struct with its 4-byte value id is 112
+// bytes, one Go size class (DESIGN.md, "The IR layout"; TestInstrSize
+// pins it).
 type Instr struct {
 	Op Op
 	// Pred is the comparison predicate (OpICmp only).
@@ -204,6 +204,8 @@ type Instr struct {
 
 	// Blk is the block containing the instruction.
 	Blk *Block
+	// id is the value id plus one, so the zero Instr has none; see ID.
+	id int32
 }
 
 // payload holds what an alloca of more than one element, a call, a
@@ -324,6 +326,11 @@ func (in *Instr) extOrNew() *payload {
 	}
 	return in.ext
 }
+
+// ID returns the instruction's value id, dense within its function
+// (see Func.NumValues), or -1 when it has none: an instruction gets
+// one when it joins a function through Block.Attach, Append or Insert.
+func (in *Instr) ID() int { return int(in.id) - 1 }
 
 // Type returns the result type of the instruction.
 func (in *Instr) Type() Type { return in.Typ }

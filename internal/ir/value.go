@@ -71,6 +71,10 @@ type Global struct {
 	GName string
 	// Elem is the type of the storage the global names.
 	Elem Type
+
+	// index is the position AddGlobal gave the global in
+	// Module.Globals, a hint a ValueTable checks before it trusts it.
+	index int
 }
 
 // Type returns the pointer type of the global.
@@ -92,6 +96,27 @@ type Param struct {
 	Fn *Func
 	// Index is the position of the parameter in the signature.
 	Index int
+}
+
+// ID returns the parameter's value id, its Index: parameters take
+// ids 0 to len(Params)-1 of their function, ahead of its instructions.
+func (p *Param) ID() int { return p.Index }
+
+// ValueID returns the function that defines v and v's id in it. A
+// constant, an undef, a global and an instruction without a function
+// or without an id report (nil, -1): no id-indexed table holds them.
+func ValueID(v Value) (*Func, int) {
+	switch v := v.(type) {
+	case *Instr:
+		if v.id > 0 && v.Blk != nil && v.Blk.Fn != nil {
+			return v.Blk.Fn, int(v.id) - 1
+		}
+	case *Param:
+		if v.Fn != nil {
+			return v.Fn, v.Index
+		}
+	}
+	return nil, -1
 }
 
 // Type returns the parameter's type.

@@ -8,14 +8,16 @@ import (
 // ends in exactly one terminator, terminators appear only at block
 // ends, phi instructions sit at block heads and match their block's
 // predecessors, operand types are consistent, and no operand is left
-// unresolved. It does not check the SSA dominance property; that
-// requires a dominator tree and lives in internal/ssa.
+// unresolved, and every parameter and instruction has its own value
+// id below Func.NumValues. It does not check the SSA dominance
+// property; that requires a dominator tree and lives in internal/ssa.
 func Verify(m *Module) error {
-	n := 0
+	n, ids := 0, 0
 	for _, f := range m.Funcs {
 		n = max(n, len(f.Params)+f.NumInstrs())
+		ids = max(ids, f.NumValues())
 	}
-	names := newNameSet(n)
+	names := newNameSet(n, ids)
 	for _, f := range m.Funcs {
 		if err := verifyFunc(f, names); err != nil {
 			return fmt.Errorf("func @%s: %w", f.FName, err)
@@ -26,20 +28,36 @@ func Verify(m *Module) error {
 
 // VerifyFunc checks structural well-formedness of a single function.
 func VerifyFunc(f *Func) error {
-	return verifyFunc(f, newNameSet(len(f.Params)+f.NumInstrs()))
+	return verifyFunc(f, newNameSet(len(f.Params)+f.NumInstrs(), f.NumValues()))
 }
 
-// nameSet is the set of names a function defines. Verify reuses one
-// across a module's functions: a name is in the set only if it
-// carries the current function's stamp, so starting the next function
-// clears nothing. (Clearing a map costs its capacity, which the
-// module's largest function sets, once per function.)
+// nameSet is the set of names and value ids a function defines. Verify
+// reuses one across a module's functions: a name or id is in the set
+// only if it carries the current function's stamp, so starting the
+// next function clears nothing. (Clearing a map costs its capacity,
+// which the module's largest function sets, once per function.)
 type nameSet struct {
 	stamp map[string]int32
+	ids   []int32
 	cur   int32
 }
 
-func newNameSet(n int) *nameSet { return &nameSet{stamp: make(map[string]int32, n)} }
+func newNameSet(n, ids int) *nameSet {
+	return &nameSet{stamp: make(map[string]int32, n), ids: make([]int32, ids)}
+}
+
+// addID inserts id, which must be non-negative, and reports whether it
+// was not yet in the set.
+func (s *nameSet) addID(id int) bool {
+	if id >= len(s.ids) {
+		s.ids = append(s.ids, make([]int32, id+1-len(s.ids))...)
+	}
+	if s.ids[id] == s.cur {
+		return false
+	}
+	s.ids[id] = s.cur
+	return true
+}
 
 // add inserts name and reports whether it was not yet in the set.
 func (s *nameSet) add(name string) bool {
@@ -56,11 +74,15 @@ func verifyFunc(f *Func, defined *nameSet) error {
 	}
 	f.RecomputeCFG()
 	defined.cur++
-	for _, p := range f.Params {
+	for i, p := range f.Params {
 		if !defined.add(p.PName) {
 			return fmt.Errorf("duplicate parameter %%%s", p.PName)
 		}
+		if p.Fn != f || p.Index != i {
+			return fmt.Errorf("parameter %%%s is not parameter %d of this function", p.PName, i)
+		}
 	}
+	nv := f.NumValues()
 	// predOf[i] is 1 + the index of the last block found to have
 	// block i as a predecessor.
 	predOf := make([]int, len(f.Blocks))
@@ -81,6 +103,14 @@ func verifyFunc(f *Func, defined *nameSet) error {
 			}
 			if err := verifyInstr(in); err != nil {
 				return fmt.Errorf("block %s: %s: %w", b.Name(), in, err)
+			}
+			switch id := in.ID(); {
+			case id < 0:
+				return fmt.Errorf("block %s: %s has no value id", b.Name(), in)
+			case id < len(f.Params) || id >= nv:
+				return fmt.Errorf("block %s: %s has value id %d, outside [%d, %d)", b.Name(), in, id, len(f.Params), nv)
+			case !defined.addID(id):
+				return fmt.Errorf("block %s: %s has value id %d, already taken", b.Name(), in, id)
 			}
 			if in.HasResult() {
 				if in.Name() == "" {

@@ -273,3 +273,37 @@ join:
 		}
 	}
 }
+
+// TestVerifyValueIDs: the verifier rejects an instruction without a
+// value id, two instructions with one id, and an id outside the
+// instruction range [len(Params), NumValues()).
+func TestVerifyValueIDs(t *testing.T) {
+	const src = `func @f(i64 %a) i64 {
+entry:
+  %x = add %a, 1
+  %y = add %x, 2
+  ret %y
+}
+`
+	for _, tc := range []struct {
+		name, wantSub string
+		edit          func(f *Func, ins []*Instr)
+	}{
+		{"well formed", "", func(f *Func, ins []*Instr) {}},
+		{"unassigned", "has no value id", func(f *Func, ins []*Instr) { ins[1].id = 0 }},
+		{"duplicate", "already taken", func(f *Func, ins []*Instr) { ins[1].id = ins[0].id }},
+		{"past NumValues", "outside [1, 4)", func(f *Func, ins []*Instr) { ins[2].id = int32(f.NumValues()) + 1 }},
+		{"a parameter's id", "outside [1, 4)", func(f *Func, ins []*Instr) { ins[0].id = 1 }},
+		{"parameter index", "is not parameter 0", func(f *Func, ins []*Instr) { f.Params[0].Index = 1 }},
+	} {
+		f := MustParse(src).Funcs[0]
+		tc.edit(f, f.Entry().Instrs)
+		err := VerifyFunc(f)
+		switch {
+		case tc.wantSub == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantSub != "" && (err == nil || !strings.Contains(err.Error(), tc.wantSub)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantSub)
+		}
+	}
+}

@@ -10,10 +10,10 @@ import (
 
 // Result holds the computed ranges for one module.
 type Result struct {
-	// ids numbers the tracked values: the integer parameters and
+	// nodes numbers the tracked values: the integer parameters and
 	// integer-typed instruction results of the analyzed functions.
-	// ranges[ids[v]] is v's interval.
-	ids    map[ir.Value]int32
+	// ranges[n] is the interval of the value with node n.
+	nodes  nodeIndex
 	ranges []Interval
 	// err records budget exhaustion during solving; the ranges are
 	// still sound (see AnalyzeCtx) but possibly all-Top.
@@ -35,10 +35,29 @@ func (r *Result) Range(v ir.Value) Interval {
 	if c, ok := v.(*ir.Const); ok {
 		return Point(c.Val)
 	}
-	if id, ok := r.ids[v]; ok {
-		return r.ranges[id]
+	if n, ok := r.nodes.of(v); ok {
+		return r.ranges[n]
 	}
 	return Top
+}
+
+// nodeIndex maps the module's values to node ids: node[vals.Slot(v)]
+// is v's node, or -1 when v is untracked. The zero nodeIndex tracks
+// nothing.
+type nodeIndex struct {
+	vals *ir.ValueTable
+	node []int32
+}
+
+// of returns v's node, or false when v is not tracked: not an integer
+// value of an analyzed function of the module, or created after the
+// analysis.
+func (x nodeIndex) of(v ir.Value) (int32, bool) {
+	s := x.vals.Slot(v)
+	if s < 0 || x.node[s] < 0 {
+		return 0, false
+	}
+	return x.node[s], true
 }
 
 // IsStrictlyPositive reports whether v > 0 always holds. Implements
@@ -117,13 +136,13 @@ type Opts struct {
 // from a sound over-approximation and intersects it with a consequence
 // of sound inputs, so each intermediate state is itself sound.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Result {
-	s, ids := build(m, opt.Skip)
+	s, nodes := build(m, opt.Skip)
 	bgt := opt.Budget.Start(ctx)
 	if s.solve(bgt) {
 		return &Result{err: bgt.Err()}
 	}
 	n := len(s.nodes)
-	return &Result{ids: ids, ranges: s.env[:n:n], err: bgt.Err()}
+	return &Result{nodes: nodes, ranges: s.env[:n:n], err: bgt.Err()}
 }
 
 // kind selects a node's transfer function over env slots a and b.
@@ -187,10 +206,12 @@ type site struct {
 // builder resolves a module into a solver.
 type builder struct {
 	s     *solver
-	ids   map[ir.Value]int32
+	nodes nodeIndex
 	n     int32
 	fns   []fnInfo
-	fnIdx map[*ir.Func]int32 // index into fns
+	// fnAt[i] is the index into fns of the function at position i of
+	// the module, or -1 when it is skipped.
+	fnAt  []int32
 	fixed map[Interval]int32
 	top   int32
 	// edges are the dependences as (source, dependent) pairs, in the
@@ -204,10 +225,20 @@ func (b *builder) slot(v ir.Value) int32 {
 	if c, ok := v.(*ir.Const); ok {
 		return b.fixedSlot(Point(c.Val))
 	}
-	if id, ok := b.ids[v]; ok {
+	if id, ok := b.nodes.of(v); ok {
 		return id
 	}
 	return b.top
+}
+
+// fnOf returns the index into fns of f, or false when f is skipped or
+// not a function of the module.
+func (b *builder) fnOf(f *ir.Func) (int32, bool) {
+	p := b.nodes.vals.FuncIndex(f)
+	if p < 0 || b.fnAt[p] < 0 {
+		return 0, false
+	}
+	return b.fnAt[p], true
 }
 
 // fixedSlot returns the read-only slot holding iv.
@@ -238,9 +269,9 @@ func (b *builder) dep(from, to int32) {
 // order, then the parameters its call arguments feed and the calls
 // its returns feed, in call-site order. FIFO order, and with it
 // widening, depends on both orders.
-func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
-	// Count first so that every map and slice is allocated once at its
-	// final size: growing them instead allocates about 60% more on a
+func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, nodeIndex) {
+	// Count first so that every slice is allocated once at its final
+	// size: growing them instead allocates about 60% more on a
 	// 10k-function module.
 	var nodes, rets, calls, operands int
 	for _, f := range m.Funcs {
@@ -269,20 +300,26 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 	}
 
 	// Number the nodes and collect returns and call sites.
-	ids := make(map[ir.Value]int32, nodes)
+	vals := ir.NewValueTable(m)
+	nodeOf := make([]int32, vals.Len())
+	for i := range nodeOf {
+		nodeOf[i] = -1
+	}
 	fns := make([]fnInfo, 0, len(m.Funcs))
-	fnIdx := make(map[*ir.Func]int32, len(m.Funcs))
+	fnAt := make([]int32, len(m.Funcs))
 	retVals := make([]ir.Value, 0, rets)
 	sites := make([]site, 0, calls)
 	var id, params int32
-	for _, f := range m.Funcs {
+	for pos, f := range m.Funcs {
+		fnAt[pos] = -1
 		if skip[f] {
 			continue
 		}
+		base := vals.FuncBase(pos)
 		fi := fnInfo{f: f, first: id, paramBase: params, retLo: int32(len(retVals)), siteLo: int32(len(sites))}
 		for _, p := range f.Params {
 			if ir.IsInt(p.Typ) {
-				ids[p] = id
+				nodeOf[base+p.ID()] = id
 				id++
 			}
 		}
@@ -295,7 +332,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 			nid := int32(-1)
 			if in.HasResult() && ir.IsInt(in.Typ) {
 				nid = id
-				ids[in] = id
+				nodeOf[base+in.ID()] = id
 				id++
 			}
 			if callee := in.Callee(); in.Op == ir.OpCall && callee != nil && !skip[callee] {
@@ -305,16 +342,17 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 		})
 		fi.retHi = int32(len(retVals))
 		fi.siteHi = int32(len(sites))
-		fnIdx[f] = int32(len(fns))
+		fnAt[pos] = int32(len(fns))
 		fns = append(fns, fi)
 	}
+	idx := nodeIndex{vals: vals, node: nodeOf}
 
 	s := &solver{nodes: make([]node, id), ops: make([]int32, 0, len(retVals)+operands)}
 	s.env = make([]Interval, id, int(id)+64)
 	for i := range s.env {
 		s.env[i] = Bottom
 	}
-	b := &builder{s: s, ids: ids, n: id, fns: fns, fnIdx: fnIdx, fixed: map[Interval]int32{}, edges: make([]csr.Pair[int32], 0, operands)}
+	b := &builder{s: s, nodes: idx, n: id, fns: fns, fnAt: fnAt, fixed: map[Interval]int32{}, edges: make([]csr.Pair[int32], 0, operands)}
 	b.top = b.fixedSlot(Top)
 	for _, v := range retVals {
 		s.ops = append(s.ops, b.slot(v))
@@ -340,7 +378,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 	var args []csr.Pair[int32] // (parameter index, argument slot)
 	for i := range fns {
 		for _, st := range sites[fns[i].siteLo:fns[i].siteHi] {
-			ci, ok := fnIdx[st.in.Callee()]
+			ci, ok := b.fnOf(st.in.Callee())
 			if !ok {
 				continue // outside the module: no parameters, no returns
 			}
@@ -385,7 +423,7 @@ func build(m *ir.Module, skip map[*ir.Func]bool) (*solver, map[ir.Value]int32) {
 		}
 	}
 	s.depOff, s.deps = csr.Group(int(id), b.edges)
-	return s, ids
+	return s, idx
 }
 
 // instr resolves the integer instruction in, node id, recording its
@@ -432,7 +470,7 @@ func (b *builder) instr(in *ir.Instr, id int32) node {
 	case ir.OpCall:
 		// The union of the callee's returns; Top for external code
 		// and for callees that never return a value.
-		if ci, ok := b.fnIdx[in.Callee()]; ok {
+		if ci, ok := b.fnOf(in.Callee()); ok {
 			if c := b.fns[ci]; c.retHi > c.retLo {
 				nd = node{kind: kUnion, a: c.retLo, b: c.retHi}
 			}

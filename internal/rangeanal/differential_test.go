@@ -89,8 +89,8 @@ func checkPass(t *testing.T, label string, m *ir.Module) *Result {
 	for _, sk := range []map[*ir.Func]bool{nil, skip} {
 		counted := budget.Spec{MaxSteps: math.MaxInt}
 		ref := referenceAnalyzeCtx(ctx, m, Opts{Budget: counted, Skip: sk})
-		s, ids := build(m, sk)
-		checkSchedule(t, fmt.Sprintf("%s skip=%d", label, len(sk)), ref.sys, s, ids)
+		s, nodes := build(m, sk)
+		checkSchedule(t, fmt.Sprintf("%s skip=%d", label, len(sk)), ref.sys, s, nodes)
 		bgt := counted.Start(ctx)
 		s.solve(bgt)
 		if bgt.Steps() != ref.steps {
@@ -117,13 +117,13 @@ func checkPass(t *testing.T, label string, m *ir.Module) *Result {
 // checkSchedule fails unless the dense solver numbers the reference's
 // nodes in the reference's order and gives every node the reference's
 // dependents in the reference's order.
-func checkSchedule(t *testing.T, at string, ref *refAnalysis, s *solver, ids map[ir.Value]int32) {
+func checkSchedule(t *testing.T, at string, ref *refAnalysis, s *solver, nodes nodeIndex) {
 	t.Helper()
-	if len(ids) != len(ref.nodes) {
-		t.Fatalf("%s: %d nodes, reference %d", at, len(ids), len(ref.nodes))
+	if len(s.nodes) != len(ref.nodes) {
+		t.Fatalf("%s: %d nodes, reference %d", at, len(s.nodes), len(ref.nodes))
 	}
 	for i, v := range ref.nodes {
-		if id, ok := ids[v]; !ok || id != int32(i) {
+		if id, ok := nodes.of(v); !ok || id != int32(i) {
 			t.Fatalf("%s: %s is node %d (tracked %v), reference %d", at, v.Ref(), id, ok, i)
 		}
 		got := s.deps[s.depOff[i]:s.depOff[i+1]]
@@ -132,7 +132,7 @@ func checkSchedule(t *testing.T, at string, ref *refAnalysis, s *solver, ids map
 			t.Fatalf("%s: %s has %d dependents, reference %d", at, v.Ref(), len(got), len(want))
 		}
 		for k, d := range want {
-			if id := ids[d]; id != got[k] {
+			if id, _ := nodes.of(d); id != got[k] {
 				t.Fatalf("%s: dependent %d of %s is node %d, reference %s", at, k, v.Ref(), got[k], d.Ref())
 			}
 		}
@@ -148,7 +148,7 @@ func compareResults(t *testing.T, at string, m *ir.Module, want *refResult, got 
 	if fmt.Sprint(want.err) != fmt.Sprint(got.Err()) {
 		t.Fatalf("%s: err = %v, reference %v", at, got.Err(), want.err)
 	}
-	dense := rangesOf(got)
+	dense := rangesOf(m, got)
 	if want.aborted && len(dense) != 0 {
 		t.Fatalf("%s: ascent aborted but %d values keep an interval", at, len(dense))
 	}

@@ -203,7 +203,7 @@ int f(int n) {
 }
 
 func TestRangeBoundedLoop(t *testing.T) {
-	_, r := analyzeSrc(t, `
+	m, r := analyzeSrc(t, `
 int f() {
   int s = 0;
   for (int i = 0; i < 10; i++) {
@@ -214,7 +214,7 @@ int f() {
 `)
 	// With a constant bound the narrowing phase pins i to [0, 10].
 	found := false
-	for v, iv := range rangesOf(r) {
+	for v, iv := range rangesOf(m, r) {
 		if in, ok := v.(*ir.Instr); ok && in.Op == ir.OpPhi && ir.IsInt(in.Typ) {
 			if iv.Lo == 0 && iv.Hi <= 10 && iv.Hi >= 9 {
 				found = true
@@ -226,12 +226,16 @@ int f() {
 	}
 }
 
-// rangesOf exposes the tracked values' intervals for white-box
+// rangesOf exposes the intervals of m's tracked values for white-box
 // assertions.
-func rangesOf(r *Result) map[ir.Value]Interval {
-	out := make(map[ir.Value]Interval, len(r.ids))
-	for v, id := range r.ids {
-		out[v] = r.ranges[id]
+func rangesOf(m *ir.Module, r *Result) map[ir.Value]Interval {
+	out := map[ir.Value]Interval{}
+	for _, f := range m.Funcs {
+		for _, v := range f.Values() {
+			if n, ok := r.nodes.of(v); ok {
+				out[v] = r.ranges[n]
+			}
+		}
 	}
 	return out
 }

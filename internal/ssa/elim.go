@@ -22,22 +22,24 @@ func Eliminate(f *ir.Func) int {
 	cfg.SplitCriticalEdges(f)
 
 	// Fold sigmas and copies first: pure copies, so uses can take the
-	// source directly.
-	replacement := map[ir.Value]ir.Value{}
+	// source directly. replacement is indexed by value id; only the
+	// sigmas, copies and phis of f, which all predate it, get entries.
+	replacement := make([]ir.Value, f.NumValues())
 	var resolve func(v ir.Value) ir.Value
 	resolve = func(v ir.Value) ir.Value {
-		if r, ok := replacement[v]; ok {
-			r = resolve(r)
-			replacement[v] = r
-			return r
+		g, id := ir.ValueID(v)
+		if g != f || id >= len(replacement) || replacement[id] == nil {
+			return v
 		}
-		return v
+		r := resolve(replacement[id])
+		replacement[id] = r
+		return r
 	}
 	for _, b := range f.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpSigma || in.Op == ir.OpCopy {
-				replacement[in] = in.Args[0]
+				replacement[in.ID()] = in.Args[0]
 				continue
 			}
 			kept = append(kept, in)
@@ -76,12 +78,12 @@ func Eliminate(f *ir.Func) int {
 				Args: []ir.Value{slot},
 			}
 			ld.SetName(f.FreshName(phi.Name() + ".reload"))
-			replacement[phi] = ld
+			replacement[phi.ID()] = ld
 			// Swap in place: find the phi and substitute.
 			for i, in := range b.Instrs {
 				if in == phi {
+					b.Attach(ld)
 					b.Instrs[i] = ld
-					ld.Blk = b
 					break
 				}
 			}

@@ -26,19 +26,24 @@ import (
 // are numbered once, their defining blocks are collected in one pass,
 // and the placement and renaming state lives in slices indexed by
 // alloca and block number.
+//
+// Promote deletes more than half of what lowering builds, so it ends
+// by renumbering f's value ids (Func.RenumberValues): the ids of what
+// is left are dense again, and every id-indexed table of f is stale.
 func Promote(f *ir.Func) int {
 	cfg.RemoveUnreachable(f)
-	pr := newPromoter(f)
-	if pr == nil {
-		return 0
+	n := 0
+	if pr := newPromoter(f); pr != nil {
+		dt := cfg.NewDomTree(f)
+		pr.placePhis(cfg.DominanceFrontier(f, dt))
+		pr.rename(dt, f.Entry())
+		pr.patch()
+		removeDeadPhis(f)
+		f.RecomputeCFG()
+		n = len(pr.allocas)
 	}
-	dt := cfg.NewDomTree(f)
-	pr.placePhis(cfg.DominanceFrontier(f, dt))
-	pr.rename(dt, f.Entry())
-	pr.patch()
-	removeDeadPhis(f)
-	f.RecomputeCFG()
-	return len(pr.allocas)
+	f.RenumberValues()
+	return n
 }
 
 // promoter holds the dense state of one Promote call. Allocas are
@@ -202,7 +207,7 @@ func (pr *promoter) placePhis(df [][]*ir.Block) {
 		}
 		instrs := make([]*ir.Instr, 0, len(ps)+len(b.Instrs))
 		for i := len(ps) - 1; i >= 0; i-- {
-			ps[i].phi.Blk = b
+			b.Attach(ps[i].phi)
 			instrs = append(instrs, ps[i].phi)
 		}
 		b.Instrs = append(instrs, b.Instrs...)
@@ -324,12 +329,15 @@ func (pr *promoter) resolve(v ir.Value) ir.Value {
 // before use); they would otherwise feed undef into interpreters and
 // pollute analysis statistics.
 func removeDeadPhis(f *ir.Func) {
-	// Mark phis reachable from non-phi uses.
-	live := make(map[*ir.Instr]bool)
+	// Mark phis reachable from non-phi uses. live is a bitmap over
+	// value ids: few phis survive, so a byte per id would cost more
+	// than a map of the live ones.
+	live := make([]uint64, (f.NumValues()+63)/64)
+	isLive := func(in *ir.Instr) bool { return live[in.ID()/64]&(1<<(in.ID()%64)) != 0 }
 	var stack []*ir.Instr
 	mark := func(v ir.Value) {
-		if phi, ok := v.(*ir.Instr); ok && phi.Op == ir.OpPhi && !live[phi] {
-			live[phi] = true
+		if phi, ok := v.(*ir.Instr); ok && phi.Op == ir.OpPhi && !isLive(phi) {
+			live[phi.ID()/64] |= 1 << (phi.ID() % 64)
 			stack = append(stack, phi)
 		}
 	}
@@ -358,7 +366,7 @@ func removeDeadPhis(f *ir.Func) {
 	for _, b := range f.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi && !live[in] {
+			if in.Op == ir.OpPhi && !isLive(in) {
 				continue
 			}
 			kept = append(kept, in)
@@ -377,11 +385,16 @@ func scalar(t ir.Type) bool { return ir.IsInt(t) || ir.IsPtr(t) }
 func VerifySSA(f *ir.Func) error {
 	f.RecomputeCFG()
 	dt := cfg.NewDomTree(f)
-	pos := make(map[*ir.Instr]int32, f.NumInstrs())
+	// pos[id] is the position of the instruction with that value id.
+	pos := make([]int32, f.NumValues())
 	i := int32(0)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			pos[in] = i
+			id := in.ID()
+			if id < 0 || id >= len(pos) {
+				return fmt.Errorf("%s has no value id of this function", in.Ref())
+			}
+			pos[id] = i
 			i++
 		}
 	}
@@ -401,7 +414,7 @@ func VerifySSA(f *ir.Func) error {
 			return nil
 		}
 		if def.Blk == user.Blk {
-			if pos[def] >= pos[user] {
+			if pos[def.ID()] >= pos[user.ID()] {
 				return fmt.Errorf("%s used before defined in block %s",
 					def.Ref(), user.Blk.Name())
 			}

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/budget"
+	"repro/internal/csr"
 	"repro/internal/ir"
 )
 
@@ -46,14 +47,16 @@ type Analysis struct {
 	ptd []int32
 	// objCount[c] counts allocation sites in class c (rep-valid).
 	objCount []int32
-	// nodeOf maps a value to its node.
-	nodeOf map[ir.Value]int32
+	// vals numbers the module's values as they were analyzed;
+	// nodeOf[vals.Slot(v)] is v's node, or -1 when v has none.
+	vals   *ir.ValueTable
+	nodeOf []int32
 	// unknown is the node of the universal unknown object; any class
 	// containing it stands for memory the module cannot account for.
 	unknown int32
-	// grounded marks values whose Andersen points-to set is provably
-	// non-empty (see the package comment).
-	grounded map[ir.Value]bool
+	// grounded[vals.Slot(v)] marks values whose Andersen points-to set
+	// is provably non-empty (see the package comment).
+	grounded []bool
 	// degraded records budget exhaustion: a partially unified state
 	// has too few merges and would answer NoAlias unsoundly, so every
 	// query collapses to MayAlias.
@@ -79,7 +82,7 @@ type Opts struct {
 // Unanalyzed returns a degraded Analysis carrying cause: every query
 // answers MayAlias.
 func Unanalyzed(cause error) *Analysis {
-	return &Analysis{nodeOf: map[ir.Value]int32{}, grounded: map[ir.Value]bool{}, degraded: cause}
+	return &Analysis{degraded: cause}
 }
 
 // Analyze runs the analysis on a whole module.
@@ -89,11 +92,16 @@ func Analyze(m *ir.Module) *Analysis {
 
 // AnalyzeCtx is Analyze under a context, budget and skip set.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, opt Opts) *Analysis {
-	a := &Analysis{nodeOf: map[ir.Value]int32{}, grounded: map[ir.Value]bool{}}
+	a := &Analysis{vals: ir.NewValueTable(m)}
+	a.nodeOf = make([]int32, a.vals.Len())
+	for i := range a.nodeOf {
+		a.nodeOf[i] = -1
+	}
+	a.grounded = make([]bool, a.vals.Len())
 	a.unknown = a.newNode()
 	a.objCount[a.unknown] = 1
 	bgt := opt.Budget.Start(ctx)
-	s := &unifier{a: a, bgt: bgt}
+	s := &unifier{a: a, bgt: bgt, consts: map[*ir.Const]int32{}, undefs: map[*ir.Undef]int32{}}
 	// The unknown object's contents are themselves unknown: its class
 	// is its own pointee, so any chain of loads out of unknown memory
 	// stays in the unknown class.
@@ -117,15 +125,6 @@ func (a *Analysis) newNode() int32 {
 	return id
 }
 
-func (a *Analysis) node(v ir.Value) int32 {
-	if n, ok := a.nodeOf[v]; ok {
-		return n
-	}
-	n := a.newNode()
-	a.nodeOf[v] = n
-	return n
-}
-
 // classPtd returns the pointee node of n's class, creating a fresh one
 // when the class has none yet.
 func (a *Analysis) classPtd(n int32) int32 {
@@ -142,11 +141,43 @@ type unifier struct {
 	a   *Analysis
 	bgt *budget.B
 	// edges are the grounding edges (mirrors of Andersen's ⊇-edges
-	// from possibly-non-empty sources).
-	edges []grEdge
+	// from possibly-non-empty sources), as pairs of slots.
+	edges []csr.Pair[int32]
+	// consts and undefs hold the nodes of the constants and undefs
+	// that constraints mention. They have no slot, and one that
+	// several constraints share unifies them all, so they are told
+	// apart by identity.
+	consts map[*ir.Const]int32
+	undefs map[*ir.Undef]int32
 }
 
-type grEdge struct{ src, dst ir.Value }
+// node returns v's node, creating it on first use.
+func (s *unifier) node(v ir.Value) int32 {
+	a := s.a
+	if slot := a.vals.Slot(v); slot >= 0 {
+		if a.nodeOf[slot] < 0 {
+			a.nodeOf[slot] = a.newNode()
+		}
+		return a.nodeOf[slot]
+	}
+	switch v := v.(type) {
+	case *ir.Const:
+		return nodeByIdentity(s.consts, v, a)
+	case *ir.Undef:
+		return nodeByIdentity(s.undefs, v, a)
+	}
+	// A value of no function of the module: verified IR has none.
+	return a.newNode()
+}
+
+func nodeByIdentity[K comparable](nodes map[K]int32, k K, a *Analysis) int32 {
+	n, ok := nodes[k]
+	if !ok {
+		n = a.newNode()
+		nodes[k] = n
+	}
+	return n
+}
 
 // join unifies the classes of two nodes, cascading through pointees.
 func (s *unifier) join(x, y int32) {
@@ -187,11 +218,11 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 	// Address-of sites: the site's value points at its object, and the
 	// value's Andersen set is certainly non-empty.
 	seedObj := func(site ir.Value) {
-		n := a.node(site)
+		n := s.node(site)
 		obj := a.newNode()
 		a.objCount[obj] = 1
 		s.joinPtd(n, obj)
-		a.grounded[site] = true
+		a.grounded[a.vals.Slot(site)] = true
 	}
 	for _, g := range m.Globals {
 		seedObj(g)
@@ -216,17 +247,20 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 	// assignUnknown binds v to the unknown object's class: Andersen
 	// adds the unknown object to pts(v), so v is grounded.
 	assignUnknown := func(v ir.Value) {
-		s.joinPtd(a.node(v), a.unknown)
-		a.grounded[v] = true
+		s.joinPtd(s.node(v), a.unknown)
+		a.grounded[a.vals.Slot(v)] = true
 	}
 	// copy is an assignment dst = src: unify the pointees and record a
-	// grounding edge.
+	// grounding edge. A source without a slot is never grounded, so it
+	// needs no edge.
 	cp := func(src, dst ir.Value) {
 		if !ir.IsPtr(src.Type()) && !isPtrLike(src) {
 			return
 		}
-		s.join(a.classPtd(a.node(src)), a.classPtd(a.node(dst)))
-		s.edges = append(s.edges, grEdge{src, dst})
+		s.join(a.classPtd(s.node(src)), a.classPtd(s.node(dst)))
+		if from := a.vals.Slot(src); from >= 0 {
+			s.edges = append(s.edges, csr.Pair[int32]{Key: int32(from), Val: int32(a.vals.Slot(dst))})
+		}
 	}
 	for _, f := range m.Funcs {
 		if opt.Skip[f] {
@@ -247,8 +281,8 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 				if ir.IsPtr(in.Typ) {
 					// x = *p: x's value is the contents of the class p
 					// points into.
-					t := a.classPtd(a.node(in.Args[0]))
-					s.join(a.classPtd(t), a.classPtd(a.node(in)))
+					t := a.classPtd(s.node(in.Args[0]))
+					s.join(a.classPtd(t), a.classPtd(s.node(in)))
 					// Not a grounding edge: Andersen's pts(x) can be
 					// empty even when pts(p) is not.
 				}
@@ -256,8 +290,8 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 				if ir.IsPtr(in.Args[0].Type()) {
 					// *p = v: the contents of p's pointee class absorb
 					// v's pointees.
-					t := a.classPtd(a.node(in.Args[0]))
-					s.join(a.classPtd(t), a.classPtd(a.node(in.Args[1])))
+					t := a.classPtd(s.node(in.Args[0]))
+					s.join(a.classPtd(t), a.classPtd(s.node(in.Args[1])))
 				}
 			case ir.OpCall:
 				if callee := in.Callee(); callee != nil && !opt.Skip[callee] {
@@ -280,7 +314,7 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 					// unknown.
 					for _, arg := range in.Args {
 						if ir.IsPtr(arg.Type()) {
-							t := a.classPtd(a.node(arg))
+							t := a.classPtd(s.node(arg))
 							s.joinPtd(t, a.unknown)
 						}
 					}
@@ -315,32 +349,31 @@ func isPtrLike(v ir.Value) bool {
 // dst is grounded once any grounded src flows into it, mirroring
 // Andersen's pts(dst) ⊇ pts(src) ≠ ∅.
 func (s *unifier) propagateGrounded() {
-	out := map[ir.Value][]ir.Value{}
-	for _, e := range s.edges {
-		out[e.src] = append(out[e.src], e.dst)
-	}
-	var work []ir.Value
-	for v := range s.a.grounded {
-		//lint:ignore maporder worklist seeding for a monotone closure: the final grounded set is the same for every visit order, and nothing on this path reaches a report
-		work = append(work, v)
+	grounded := s.a.grounded
+	off, out := csr.Group(len(grounded), s.edges)
+	var work []int32
+	for v, g := range grounded {
+		if g {
+			work = append(work, int32(v))
+		}
 	}
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, d := range out[v] {
-			if !s.a.grounded[d] {
-				s.a.grounded[d] = true
+		for _, d := range out[off[v]:off[v+1]] {
+			if !grounded[d] {
+				grounded[d] = true
 				work = append(work, d)
 			}
 		}
 	}
 }
 
-// classOf returns the points-to class of v (the class of what v points
-// at) and whether v has one.
-func (a *Analysis) classOf(v ir.Value) (int32, bool) {
-	n, ok := a.nodeOf[v]
-	if !ok {
+// classOf returns the points-to class of the value with the given
+// slot (the class of what it points at) and whether it has one.
+func (a *Analysis) classOf(slot int) (int32, bool) {
+	n := a.nodeOf[slot]
+	if n < 0 {
 		return 0, false
 	}
 	c := a.u.root(n)
@@ -361,9 +394,15 @@ type fact struct {
 }
 
 func (a *Analysis) factOf(v ir.Value, unknown int32) fact {
-	c, ok := a.classOf(v)
-	return fact{class: c, usable: a.degraded == nil && ok && a.grounded[v] &&
-		c != unknown && a.objCount[c] > 0}
+	if a.degraded != nil {
+		return fact{}
+	}
+	slot := a.vals.Slot(v)
+	if slot < 0 {
+		return fact{}
+	}
+	c, ok := a.classOf(slot)
+	return fact{class: c, usable: ok && a.grounded[slot] && c != unknown && a.objCount[c] > 0}
 }
 
 // pair reports NoAlias only for two usable, distinct classes.
