@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -86,6 +87,9 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(pipe)
@@ -101,11 +105,11 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 				}
 			}
 		}
+		// Wait closes the pipe, so it must not run before the last
+		// line is read: the drain epilogue comes just before exit.
+		io.Copy(io.Discard, pipe)
+		d.done <- d.cmd.Wait()
 	}()
-	if err := d.cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go func() { d.done <- d.cmd.Wait() }()
 	t.Cleanup(func() { d.cmd.Process.Kill() })
 	select {
 	case d.addr = <-addrCh:

@@ -44,57 +44,63 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 	// Per-function slots: workers fill them, the calling goroutine
 	// merges in module function order (see parallel.go).
 	type slot struct {
-		rep      *alias.Report
 		fails    []StageFailure
 		degraded bool
 	}
 	slots := make([]slot, len(m.Funcs))
-	evalOne := func(i int, f *ir.Func, w *alias.Workspace) {
+	// Each worker evaluates into one scratch report, zeroed before
+	// every function and again before the MayAlias fallback, so a
+	// contained panic leaves none of the function's tallies behind, and
+	// adds each finished function to its own total. Counts are sums, so
+	// the totals do not depend on which worker took which function.
+	evalOne := func(i int, f *ir.Func, w *alias.Workspace, scratch, total *alias.Report) {
 		s := &slots[i]
-		if p.skip[f] {
-			// The IR may be broken; even enumeration runs contained.
-			fRep := alias.NewReport(m.Name, analyses...)
+		zeroCounts(scratch)
+		mayOnly := p.skip[f]
+		if !mayOnly {
+			if fail := p.contain(StageAliasEval, f.FName, true, func() {
+				w.EvaluateFunc(f, scratch)
+			}); fail != nil {
+				s.fails = append(s.fails, *fail)
+				s.degraded = true
+				zeroCounts(scratch)
+				mayOnly = true
+			}
+		}
+		if mayOnly {
+			// A quarantined function's IR may be broken; even
+			// enumeration runs contained.
 			if fail := p.contain(StageAliasEval, f.FName, false, func() {
-				alias.MayAliasOnly(f, fRep, analyses...)
+				alias.MayAliasOnly(f, scratch, analyses...)
 			}); fail != nil {
 				s.fails = append(s.fails, *fail)
 			}
-			s.rep = fRep
-			return
 		}
-		fRep := alias.NewReport(m.Name, analyses...)
-		fail := p.contain(StageAliasEval, f.FName, true, func() {
-			w.EvaluateFunc(f, fRep)
-		})
-		if fail != nil {
-			s.fails = append(s.fails, *fail)
-			s.degraded = true
-			fRep = alias.NewReport(m.Name, analyses...)
-			if fail2 := p.contain(StageAliasEval, f.FName, false, func() {
-				alias.MayAliasOnly(f, fRep, analyses...)
-			}); fail2 != nil {
-				s.fails = append(s.fails, *fail2)
-			}
-		}
-		s.rep = fRep
+		total.Add(scratch)
 	}
 
-	// One workspace per goroutine: the plan is shared, buffers are not.
-	if jobs := min(p.jobs(), len(m.Funcs)); jobs <= 1 {
-		w := plan.NewWorkspace()
+	// One workspace, scratch report and total per goroutine: the plan
+	// is shared, buffers are not.
+	jobs := min(p.jobs(), len(m.Funcs))
+	totals := make([]*alias.Report, max(jobs, 1))
+	for k := range totals {
+		totals[k] = alias.NewReport(m.Name, analyses...)
+	}
+	if jobs <= 1 {
+		w, scratch := plan.NewWorkspace(), alias.NewReport(m.Name, analyses...)
 		for i, f := range m.Funcs {
-			evalOne(i, f, w)
+			evalOne(i, f, w, scratch, totals[0])
 		}
 	} else {
 		ch := make(chan int)
 		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
+		for _, total := range totals {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := plan.NewWorkspace()
+				ws, scratch := plan.NewWorkspace(), alias.NewReport(m.Name, analyses...)
 				for i := range ch {
-					evalOne(i, m.Funcs[i], ws)
+					evalOne(i, m.Funcs[i], ws, scratch, total)
 				}
 			}()
 		}
@@ -105,7 +111,6 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 		wg.Wait()
 	}
 
-	rep := alias.NewReport(m.Name, analyses...)
 	for i, f := range m.Funcs {
 		s := &slots[i]
 		for _, sf := range s.fails {
@@ -114,11 +119,19 @@ func (r *Result) Evaluate(analyses ...alias.Analysis) *alias.Report {
 		if s.degraded {
 			p.rep.markDegraded(f.FName, StageAliasEval)
 		}
-		if s.rep != nil {
-			rep.Add(s.rep)
-		}
+	}
+	rep := alias.NewReport(m.Name, analyses...)
+	for _, total := range totals {
+		rep.Add(total)
 	}
 	return rep
+}
+
+// zeroCounts zeroes rep's counts in place.
+func zeroCounts(rep *alias.Report) {
+	for _, name := range rep.Order {
+		*rep.PerAnalysis[name] = alias.Counts{}
+	}
 }
 
 // Sanitize runs the memory-safety sanitizer over the pipeline's

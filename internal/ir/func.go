@@ -130,8 +130,10 @@ type Func struct {
 	// Mod is the enclosing module.
 	Mod *Module
 
-	nextID    int
-	usedNames map[string]bool
+	// nextID is the counter behind generated value names and block
+	// label suffixes; it only grows.
+	nextID int
+	names  valueNames
 
 	// instrIDs counts the value ids handed to instructions; see
 	// NumValues.
@@ -215,49 +217,6 @@ func (f *Func) syncLabels() {
 		f.labels[b.name]++
 	}
 	f.labelsOf = shapeOf(f.Blocks)
-}
-
-// FreshName returns a new unique value name with the given prefix.
-func (f *Func) FreshName(prefix string) string {
-	var buf [48]byte
-	for {
-		f.nextID++
-		n := string(strconv.AppendInt(append(buf[:0], prefix...), int64(f.nextID), 10))
-		if f.takeName(n) {
-			return n
-		}
-	}
-}
-
-// UniqueName returns name if it is still free, or name with a numeric
-// suffix otherwise, and reserves the result.
-func (f *Func) UniqueName(name string) string {
-	if f.takeName(name) {
-		return name
-	}
-	return f.FreshName(name + ".")
-}
-
-// takeName reserves n and reports whether it was still free.
-func (f *Func) takeName(n string) bool {
-	if f.usedNames == nil {
-		f.usedNames = make(map[string]bool)
-		for _, p := range f.Params {
-			f.usedNames[p.PName] = true
-		}
-		// Functions assembled outside the Builder (e.g. by the parser)
-		// already contain named instructions; respect them.
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.HasResult() {
-					f.usedNames[in.name] = true
-				}
-			}
-		}
-	}
-	before := len(f.usedNames)
-	f.usedNames[n] = true
-	return len(f.usedNames) > before
 }
 
 // RecomputeCFG rebuilds predecessor lists and block indices from the

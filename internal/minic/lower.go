@@ -49,6 +49,7 @@ func LowerProgram(name string, prog *Program) (m *ir.Module, err error) {
 		funcs:   map[string]*ir.Func{},
 		rets:    map[string]CType{},
 		globals: map[string]*symbol{},
+		locals:  map[string]*symbol{},
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -93,6 +94,13 @@ type symbol struct {
 	typ CType
 	// isArray marks array declarations, which decay on use.
 	isArray bool
+
+	// A local also records its name, the depth of the scope that
+	// declared it and the local of the same name it shadows, which
+	// becomes visible again when that scope closes.
+	name     string
+	depth    int
+	shadowed *symbol
 }
 
 type loopCtx struct {
@@ -107,9 +115,14 @@ type lowerer struct {
 
 	fn  *ir.Func
 	bld *ir.Builder
-	// scopes are the enclosing block scopes, innermost last; a scope
-	// without declarations stays nil.
-	scopes []map[string]*symbol
+	// locals maps each name to the innermost local declared under it
+	// in the open scopes. decls lists those locals in declaration
+	// order, and scopes[d] is where scope d+1's declarations start;
+	// closing a scope restores what its locals shadowed, so the map is
+	// empty again between functions.
+	locals map[string]*symbol
+	decls  []*symbol
+	scopes []int
 	loops  []loopCtx
 	// terminated is true when the current block already has a
 	// terminator; further statements open a dead block.
@@ -163,26 +176,35 @@ func (lw *lowerer) declareFunc(fd *FuncDecl) {
 	lw.rets[fd.Name] = fd.Ret
 }
 
-func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, nil) }
-func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
+func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, len(lw.decls)) }
+
+func (lw *lowerer) popScope() {
+	start := lw.scopes[len(lw.scopes)-1]
+	lw.scopes = lw.scopes[:len(lw.scopes)-1]
+	for i := len(lw.decls) - 1; i >= start; i-- {
+		s := lw.decls[i]
+		if s.shadowed != nil {
+			lw.locals[s.name] = s.shadowed
+		} else {
+			delete(lw.locals, s.name)
+		}
+	}
+	lw.decls = lw.decls[:start]
+}
 
 func (lw *lowerer) define(line int, name string, s *symbol) {
-	top := lw.scopes[len(lw.scopes)-1]
-	if top == nil {
-		top = map[string]*symbol{}
-		lw.scopes[len(lw.scopes)-1] = top
-	}
-	if _, dup := top[name]; dup {
+	prev := lw.locals[name]
+	if prev != nil && prev.depth == len(lw.scopes) {
 		lw.fail(line, "%s redeclared in this scope", name)
 	}
-	top[name] = s
+	s.name, s.depth, s.shadowed = name, len(lw.scopes), prev
+	lw.locals[name] = s
+	lw.decls = append(lw.decls, s)
 }
 
 func (lw *lowerer) lookup(name string) *symbol {
-	for i := len(lw.scopes) - 1; i >= 0; i-- {
-		if s, ok := lw.scopes[i][name]; ok {
-			return s
-		}
+	if s := lw.locals[name]; s != nil {
+		return s
 	}
 	return lw.globals[name]
 }
@@ -190,7 +212,6 @@ func (lw *lowerer) lookup(name string) *symbol {
 func (lw *lowerer) lowerFunc(fd *FuncDecl) {
 	lw.fn = lw.funcs[fd.Name]
 	lw.bld = ir.NewBuilder(lw.fn)
-	lw.scopes = nil
 	lw.loops = nil
 	lw.terminated = false
 	lw.pushScope()

@@ -52,9 +52,6 @@ type promoter struct {
 	f       *ir.Func
 	allocas []*ir.Instr
 	id      map[*ir.Instr]int32
-	// loads counts the loads from candidate allocas, a bound on the
-	// loads renaming drops.
-	loads int
 
 	// placed lists the phis placed in each block, in placement order,
 	// which is ascending alloca order: block b's are
@@ -67,8 +64,6 @@ type promoter struct {
 	// when the walk leaves it.
 	stacks [][]ir.Value
 	log    []int32
-	// replacement maps each dropped load to the value it read.
-	replacement map[*ir.Instr]ir.Value
 }
 
 type placedPhi struct {
@@ -103,9 +98,7 @@ func newPromoter(f *ir.Func) *promoter {
 				a := pr.allocaOf(arg)
 				switch {
 				case a < 0:
-				case in.Op == ir.OpLoad && i == 0:
-					pr.loads++
-				case in.Op == ir.OpStore && i == 1:
+				case in.Op == ir.OpLoad && i == 0, in.Op == ir.OpStore && i == 1:
 				default:
 					bad[a] = true
 				}
@@ -235,11 +228,11 @@ func (pr *promoter) top(a int32) ir.Value {
 }
 
 // rename walks the dominator tree from entry. Loads are not patched
-// eagerly (that would be quadratic); each dropped load's value is
-// recorded and patch applies them all in one pass afterwards.
+// eagerly (that would be quadratic): a dropped load leaves its block
+// and keeps the value it read as its operand, in place of its dead
+// pointer, and patch replaces every use in one pass afterwards.
 func (pr *promoter) rename(dt *cfg.DomTree, entry *ir.Block) {
 	pr.stacks = make([][]ir.Value, len(pr.allocas))
-	pr.replacement = make(map[*ir.Instr]ir.Value, pr.loads)
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
 		mark := len(pr.log)
@@ -254,7 +247,7 @@ func (pr *promoter) rename(dt *cfg.DomTree, entry *ir.Block) {
 			switch {
 			case in.Op == ir.OpLoad:
 				if a := pr.allocaOf(in.Args[0]); a >= 0 {
-					pr.replacement[in] = pr.top(a)
+					in.Args[0], in.Blk = pr.top(a), nil
 					continue // drop the load
 				}
 			case in.Op == ir.OpStore:
@@ -307,21 +300,21 @@ func (pr *promoter) resolve(v ir.Value) ir.Value {
 	end := v
 	for {
 		in, ok := end.(*ir.Instr)
-		if !ok || in.Op != ir.OpLoad {
+		if !ok || !dropped(in) {
 			break
 		}
-		r, ok := pr.replacement[in]
-		if !ok {
-			break
-		}
-		end = r
+		end = in.Args[0]
 	}
 	for v != end {
 		in := v.(*ir.Instr)
-		v, pr.replacement[in] = pr.replacement[in], end
+		v, in.Args[0] = in.Args[0], end
 	}
 	return end
 }
+
+// dropped reports whether in is a load rename dropped: a load outside
+// any block, holding the value it read.
+func dropped(in *ir.Instr) bool { return in.Op == ir.OpLoad && in.Blk == nil }
 
 // removeDeadPhis deletes phis whose results are used by nothing but
 // other dead phis. Unpruned phi placement leaves such phis behind

@@ -290,8 +290,8 @@ func (s *unifier) applyModule(m *ir.Module, opt Opts) {
 				if ir.IsPtr(in.Args[0].Type()) {
 					// *p = v: the contents of p's pointee class absorb
 					// v's pointees.
-					t := a.classPtd(s.node(in.Args[0]))
-					s.join(a.classPtd(t), a.classPtd(s.node(in.Args[1])))
+					t := a.classPtd(s.node(in.Args[1]))
+					s.join(a.classPtd(t), a.classPtd(s.node(in.Args[0])))
 				}
 			case ir.OpCall:
 				if callee := in.Callee(); callee != nil && !opt.Skip[callee] {
