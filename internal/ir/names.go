@@ -37,23 +37,8 @@ func (f *Func) FreshName(prefix string) string {
 	var buf [48]byte
 	for {
 		f.nextID++
-		k := f.nextID
-		if prefix == "t" && k <= maxTemp {
-			if f.takeTemp(k, "") {
-				return string(strconv.AppendInt(append(buf[:0], 't'), int64(k), 10))
-			}
-			continue
-		}
-		n := string(strconv.AppendInt(append(buf[:0], prefix...), int64(k), 10))
-		var free bool
-		if prefix != "" && !isDigit(prefix[len(prefix)-1]) {
-			// k is the name's whole digit tail, so the name is a
-			// "t<k>" only for the prefix "t", and only up to maxTemp.
-			free = f.takeOther(n)
-		} else {
-			free = f.takeName(n)
-		}
-		if free {
+		n := string(strconv.AppendInt(append(buf[:0], prefix...), int64(f.nextID), 10))
+		if f.takeName(n) {
 			return n
 		}
 	}
@@ -95,19 +80,15 @@ func (f *Func) takeName(n string) bool {
 	return f.takeOther(n)
 }
 
-// takeTemp reserves "t<k>" and reports whether it was still free. n is
-// the name's spelling, or "" for takeTemp to build it if it needs it.
+// takeTemp reserves n, which is "t<k>", and reports whether it was
+// still free.
 func (f *Func) takeTemp(k int, n string) bool {
 	ns := &f.names
 	w, bit := k/64, uint64(1)<<(uint(k)%64)
 	if w < len(ns.temps) && ns.temps[w]&bit != 0 {
 		return false
 	}
-	over := k >= f.tempBound()
-	if n == "" && (over || ns.tempsInOthers > 0) {
-		n = "t" + strconv.Itoa(k)
-	}
-	if over {
+	if k >= f.tempBound() {
 		if !f.takeOther(n) {
 			return false
 		}
@@ -128,8 +109,8 @@ func (f *Func) takeTemp(k int, n string) bool {
 
 // tempBound bounds the k of a "t<k>" name the bitset takes. It grows
 // with the function, so a parsed %t4000000000 in a small function goes
-// into the map instead of sizing the bitset; every generated "t<k>"
-// is below it.
+// into the map instead of sizing the bitset; every name FreshName("t")
+// hands out is below it.
 func (f *Func) tempBound() int { return 64 + 4*(f.nextID+f.NumValues()) }
 
 // takeOther reserves n in the map and reports whether it was still

@@ -98,7 +98,7 @@ func TestNamesMatchReference(t *testing.T) {
 	prefixes := []string{
 		"t", "t", "t", "t", // lowering's temporaries dominate
 		"x.addr.", "p.s", "q.c", "t3.slot", "t7.reload", "t.", // production shapes
-		"t1", "a1", "t0", "", // digit-ending or empty: the slow path
+		"t1", "a1", "t0", "", // digit-ending or empty
 	}
 	requests := []string{
 		"t5", "t05", "t0", "t00", "t4000000", "t4000000000", "t300", "t301",
@@ -169,4 +169,22 @@ func appendNamed(f *Func, n string) {
 	in := &Instr{Op: OpAdd, Typ: I64, Args: []Value{ConstInt(1), ConstInt(2)}}
 	in.SetName(n)
 	f.Blocks[len(f.Blocks)-1].Append(in)
+}
+
+// BenchmarkFreshName names functions as lowering does over the batch
+// corpus, about 35 names a function (608,443 names over 17,393
+// functions), seven in eight of them temporaries: 31 "t<k>" and 4
+// "x.addr" requests.
+func BenchmarkFreshName(b *testing.B) {
+	m := NewModule("m")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := &Func{Mod: m}
+		for j := 0; j < 31; j++ {
+			f.FreshName("t")
+			if j%8 == 0 {
+				f.UniqueName("x.addr")
+			}
+		}
+	}
 }
