@@ -36,14 +36,22 @@ func Reached(indeg, succ, off []int32) []bool {
 // Group buckets pairs with keys in [0, n) by a stable counting sort:
 // the values of key k are vals[off[k]:off[k+1]], in the order of pairs.
 func Group[V any](n int, pairs []Pair[V]) (off []int32, vals []V) {
-	off = make([]int32, n+1)
+	return GroupInto(nil, nil, n, pairs)
+}
+
+// GroupInto is Group writing into off and vals, whose arrays it reuses
+// when they are large enough, so that a caller grouping again and
+// again allocates only while its inputs grow.
+func GroupInto[V any](off []int32, vals []V, n int, pairs []Pair[V]) ([]int32, []V) {
+	off = resize(off, n+1)
+	clear(off)
 	for _, p := range pairs {
 		off[p.Key+1]++
 	}
 	for k := 0; k < n; k++ {
 		off[k+1] += off[k]
 	}
-	vals = make([]V, len(pairs))
+	vals = resize(vals, len(pairs))
 	for _, p := range pairs {
 		vals[off[p.Key]] = p.Val
 		off[p.Key]++
@@ -51,4 +59,40 @@ func Group[V any](n int, pairs []Pair[V]) (off []int32, vals []V) {
 	copy(off[1:], off[:n])
 	off[0] = 0
 	return off, vals
+}
+
+// GroupBy is GroupInto over items, each filed under key(item), or left
+// out where that is negative, without building the pairs.
+func GroupBy[V any](off []int32, vals []V, n int, items []V, key func(V) int32) ([]int32, []V) {
+	off = resize(off, n+1)
+	clear(off)
+	m := 0
+	for _, it := range items {
+		if k := key(it); k >= 0 {
+			off[k+1]++
+			m++
+		}
+	}
+	for k := 0; k < n; k++ {
+		off[k+1] += off[k]
+	}
+	vals = resize(vals, m)
+	for _, it := range items {
+		if k := key(it); k >= 0 {
+			vals[off[k]] = it
+			off[k]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, vals
+}
+
+// resize returns s with length n, on its own array when that is large
+// enough and on a new one otherwise.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

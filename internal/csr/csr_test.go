@@ -30,6 +30,43 @@ func TestGroup(t *testing.T) {
 	}
 }
 
+// TestGroupReuse: GroupInto over arrays left dirty by a larger earlier
+// grouping, and GroupBy with some items left out, file every value as
+// Group does.
+func TestGroupReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var off []int32
+	var vals, byVals []int
+	var byOff []int32
+	for _, n := range []int{40, 5, 0, 1, 40, 3} {
+		var pairs, kept []Pair[int]
+		var items []int
+		for i := 0; n > 0 && i < 3*n; i++ {
+			k := rng.Intn(n)
+			pairs = append(pairs, Pair[int]{int32(k), i})
+			items = append(items, i*n+k)
+			if i%3 != 0 {
+				kept = append(kept, Pair[int]{int32(k), i*n + k})
+			}
+		}
+		wantOff, wantVals := Group(n, pairs)
+		off, vals = GroupInto(off, vals, n, pairs)
+		if !slices.Equal(off, wantOff) || !slices.Equal(vals, wantVals) {
+			t.Fatalf("n=%d: GroupInto gave %v %v, want %v %v", n, off, vals, wantOff, wantVals)
+		}
+		wantOff, wantVals = Group(n, kept)
+		byOff, byVals = GroupBy(byOff, byVals, n, items, func(it int) int32 {
+			if (it/max(n, 1))%3 == 0 {
+				return -1
+			}
+			return int32(it % n)
+		})
+		if !slices.Equal(byOff, wantOff) || !slices.Equal(byVals, wantVals) {
+			t.Fatalf("n=%d: GroupBy gave %v %v, want %v %v", n, byOff, byVals, wantOff, wantVals)
+		}
+	}
+}
+
 // TestReached: a source marks what it reaches, itself excluded, and a
 // cycle that no source enters stays unmarked.
 func TestReached(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/corpus"
+	"repro/internal/synth"
 )
 
 // The differential suite is the proof obligation of the parallel
@@ -91,9 +92,10 @@ func TestDifferentialSerialParallel(t *testing.T) {
 
 // TestDifferentialCacheHit: a warm-cache run returns results
 // byte-identical to both its own cold run and an uncached
-// recomputation, and the warm pass actually hits (>= 90%).
+// recomputation, and the warm pass actually hits (>= 90%). A synthetic
+// hub module rides along: all its locals are built in SSA form.
 func TestDifferentialCacheHit(t *testing.T) {
-	progs := corpus.TestSuite(12)
+	progs := append(corpus.TestSuite(12), corpus.Program{Name: "synth40", Source: synth.Module(40, 3)})
 	for _, jobs := range []int{1, 4} {
 		jobs := jobs
 		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {

@@ -244,7 +244,7 @@ func mutate(rng *rand.Rand, src string) string {
 
 // hashFrontend feeds every observable of the frontend on src into h:
 // the parse error or every AST field (lines included), the
-// LowerProgram IR or its error, the Compile IR or its error, and the
+// LowerToMemory IR or its error, the Compile IR or its error, and the
 // IR after sigma insertion, the pre-range pass and subtraction
 // splitting. It returns the printed AST, or "" when src does not
 // parse.
@@ -256,7 +256,7 @@ func hashFrontend(h io.Writer, name, src string) (printed string) {
 	}
 	printed = minic.PrintProgram(prog)
 	dumpAST(h, reflect.ValueOf(prog))
-	if m, err := minic.LowerProgram(name, prog); err != nil {
+	if m, err := minic.LowerToMemory(name, prog); err != nil {
 		fmt.Fprintf(h, "lower: %v\n", err)
 	} else {
 		io.WriteString(h, m.String())

@@ -260,10 +260,12 @@ func (p *Pipeline) strictErr(fail *StageFailure) error {
 	return nil
 }
 
-// Compile runs the hardened frontend: parse, lower, then per-function
-// SSA promotion. Parse and lower failures (including contained
-// panics) are fatal for the module — there is nothing to degrade to —
-// and are returned as errors, never as raw panics. A mem2reg failure
+// Compile runs the hardened frontend: parse, lower to SSA form, then
+// a per-function check of the SSA dominance property (the mem2reg
+// stage). Parse and lower failures (including contained panics, and
+// faults of the SSA construction that ends each function's lowering)
+// are fatal for the module — there is nothing to degrade to — and are
+// returned as errors, never as raw panics. A mem2reg failure
 // quarantines only the affected function unless Strict is set.
 func (p *Pipeline) Compile(name, src string) (*ir.Module, error) {
 	var prog *minic.Program
@@ -295,7 +297,6 @@ func (p *Pipeline) Compile(name, src string) (*ir.Module, error) {
 	}
 
 	fail = p.runFuncStage(StageMem2Reg, m, func(f *ir.Func) {
-		ssa.Promote(f)
 		if err := ssa.VerifySSA(f); err != nil {
 			panic(err)
 		}

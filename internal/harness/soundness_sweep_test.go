@@ -7,19 +7,24 @@ import (
 	"repro/internal/alias"
 	"repro/internal/csmith"
 	"repro/internal/soundcheck"
+	"repro/internal/synth"
 )
 
 // TestParallelSoundnessSweep is the differential soundness sweep of
-// the parallel driver: >= 200 generated programs go through the
-// sharded, cache-backed pipeline, and every LT fact and every
-// definitive alias verdict the driver produces is validated against a
-// concrete execution by the internal/interp oracle. Seeds are fixed,
-// so a failure names the exact program that reproduces it.
+// the parallel driver: >= 200 generated programs, and two synthetic
+// hub modules whose locals the frontend builds in SSA form without
+// exception, go through the sharded, cache-backed pipeline, and every
+// LT fact and every definitive alias verdict the driver produces is
+// validated against a concrete execution by the internal/interp
+// oracle. Seeds are fixed, so a failure names the exact program that
+// reproduces it.
 func TestParallelSoundnessSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	const programs = 200
+	const generated = 200
+	synthSeeds := []int64{1, 2}
+	programs := generated + len(synthSeeds)
 
 	type verdict struct {
 		ltViolations    []string
@@ -31,13 +36,18 @@ func TestParallelSoundnessSweep(t *testing.T) {
 
 	items := make([]BatchItem, programs)
 	srcs := make([]string, programs)
-	for i := range items {
+	for i := 0; i < generated; i++ {
 		seed := int64(4000 + i)
 		src := csmith.Generate(csmith.Config{
 			Seed: seed, MaxPtrDepth: 2 + i%5, Stmts: 25 + i%20,
 		})
 		items[i] = BatchItem{Name: fmt.Sprintf("sweep_seed%d", seed), Src: src}
 		srcs[i] = src
+	}
+	for j, seed := range synthSeeds {
+		src := synth.Module(300, seed)
+		items[generated+j] = BatchItem{Name: fmt.Sprintf("synth300_seed%d", seed), Src: src}
+		srcs[generated+j] = src
 	}
 
 	cache := NewCache()

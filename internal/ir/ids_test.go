@@ -101,7 +101,7 @@ b:
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm, err := minic.LowerProgram(p.Name, prog)
+		lm, err := minic.LowerToMemory(p.Name, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,8 +171,8 @@ func (p CmpPred) Eval(a, b int64) bool {
 // payload. Instructions that produce a value implement Value.
 //
 // The layout is deliberate. The four one-byte fields and Line share
-// the first word, and the struct with its 4-byte value id is 112
-// bytes, one Go size class (DESIGN.md, "The IR layout"; TestInstrSize
+// the first word, and the struct with its 4-byte value id and the
+// kept flag is 112 bytes, one Go size class (DESIGN.md, "The IR layout"; TestInstrSize
 // pins it).
 type Instr struct {
 	Op Op
@@ -206,6 +206,9 @@ type Instr struct {
 	Blk *Block
 	// id is the value id plus one, so the zero Instr has none; see ID.
 	id int32
+	// kept marks an alloca an SSA construction kept in memory; see
+	// Kept.
+	kept bool
 }
 
 // payload holds what an alloca of more than one element, a call, a
@@ -250,6 +253,17 @@ func NewSigma(x Value, cmp *Instr, onTrue bool, side int) *Instr {
 func NewCopy(x Value, sub *Instr) *Instr {
 	return &Instr{Op: OpCopy, Typ: x.Type(), Args: []Value{x}, ext: &payload{ref: sub}}
 }
+
+// Kept reports whether an SSA construction kept this alloca in memory
+// because its address escaped (MarkKept). Once the variables its
+// address was stored into are promoted, the address may look as if it
+// never escaped; a later construction leaves the alloca alone. The
+// mark is not printed.
+func (in *Instr) Kept() bool { return in.kept }
+
+// MarkKept records that an SSA construction kept this alloca in
+// memory.
+func (in *Instr) MarkKept() { in.kept = true }
 
 // AllocTyp returns the element type an alloca allocates: the pointee
 // of its result type.

@@ -66,7 +66,7 @@ func TestInstrSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		m, err := minic.LowerProgram(name, prog)
+		m, err := minic.LowerToMemory(name, prog)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

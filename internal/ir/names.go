@@ -44,6 +44,20 @@ func (f *Func) FreshName(prefix string) string {
 	}
 }
 
+// SkipTemp uses up the temporary FreshName("t") would hand out next,
+// without building its name. A frontend calls it where it leaves out a
+// value that a temporary would have named, so that every later name
+// comes out as if the value had been built.
+func (f *Func) SkipTemp() {
+	f.seedNames()
+	for {
+		f.nextID++
+		if f.takeTemp(f.nextID, "") {
+			return
+		}
+	}
+}
+
 // UniqueName returns name if it is still free, or name with a numeric
 // suffix otherwise, and reserves the result.
 func (f *Func) UniqueName(name string) string {
@@ -81,21 +95,26 @@ func (f *Func) takeName(n string) bool {
 }
 
 // takeTemp reserves n, which is "t<k>", and reports whether it was
-// still free.
+// still free. SkipTemp passes n as "": the name is then spelled only
+// if the map must be consulted, which no generated name needs while no
+// parsed "t<k>" sits in the map.
 func (f *Func) takeTemp(k int, n string) bool {
 	ns := &f.names
 	w, bit := k/64, uint64(1)<<(uint(k)%64)
 	if w < len(ns.temps) && ns.temps[w]&bit != 0 {
 		return false
 	}
-	if k >= f.tempBound() {
-		if !f.takeOther(n) {
-			return false
+	if k >= f.tempBound() || ns.tempsInOthers > 0 {
+		if n == "" {
+			n = "t" + strconv.Itoa(k)
 		}
-		ns.tempsInOthers++
-		return true
-	}
-	if ns.tempsInOthers > 0 {
+		if k >= f.tempBound() {
+			if !f.takeOther(n) {
+				return false
+			}
+			ns.tempsInOthers++
+			return true
+		}
 		if _, ok := ns.others[n]; ok {
 			return false
 		}

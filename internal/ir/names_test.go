@@ -89,7 +89,7 @@ next:
 	}},
 }
 
-// TestNamesMatchReference drives FreshName, UniqueName, NewBlock,
+// TestNamesMatchReference drives FreshName, SkipTemp, UniqueName, NewBlock,
 // SetName, instruction insertion and deletion through random sequences
 // on twin functions, one named through Func and one through the map
 // oracle, and requires the same name from every request and the same
@@ -114,10 +114,14 @@ func TestNamesMatchReference(t *testing.T) {
 			var given []string
 			for step := 0; step < 500; step++ {
 				var got, want string
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(22); {
 				case op < 8:
 					p := prefixes[rng.Intn(len(prefixes))]
 					got, want = f.FreshName(p), ref.fresh(p)
+				case op >= 20:
+					// A temporary used up without its name.
+					f.SkipTemp()
+					ref.fresh("t")
 				case op < 11:
 					n := requests[rng.Intn(len(requests))]
 					got, want = f.UniqueName(n), ref.unique(n)

@@ -246,7 +246,7 @@ func TestPrintMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
-		m, err := minic.LowerProgram(in.name, prog)
+		m, err := minic.LowerToMemory(in.name, prog)
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}

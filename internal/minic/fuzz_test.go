@@ -1,19 +1,24 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/ssa"
 )
 
 // FuzzParseProgram hardens the mini-C lexer and parser against
 // arbitrary input: they must never panic, and any accepted program
 // must survive the printer round trip (print, reparse, reprint —
 // byte-identical) and either lower cleanly or fail with an error, not
-// a panic. Nesting is bounded, so no input can exhaust the stack, and
-// the printer nests no deeper than its input, so every accepted
-// program reprints within the bound; the seeds at the bound and the
-// long chains check that. Seeds live in testdata/fuzz/FuzzParseProgram
-// alongside the f.Add literals.
+// a panic. A program that lowers must come out of LowerProgram exactly
+// as ssa.Promote leaves its memory form (LowerToMemory), with nothing
+// left for Promote. Nesting is bounded, so no input can exhaust the
+// stack, and the printer nests no deeper than its input, so every
+// accepted program reprints within the bound; the seeds at the bound
+// and the long chains check that. Seeds live in
+// testdata/fuzz/FuzzParseProgram alongside the f.Add literals.
 func FuzzParseProgram(f *testing.F) {
 	f.Add("int main(void) { return 0; }")
 	f.Add(`int g[4];
@@ -53,7 +58,28 @@ int main(void) {
 			t.Fatalf("printer not a fixpoint:\ninput:\n%q\n--- first ---\n%s--- second ---\n%s", src, out1, out2)
 		}
 		// Lowering may reject semantically bogus programs, but only
-		// with an error.
-		_, _ = LowerProgram("fuzz", prog)
+		// with an error, the same in both forms. A program that lowers
+		// comes out as promoting its memory form leaves it, and
+		// promoting it again changes nothing.
+		m, err := LowerProgram("fuzz", prog)
+		mem, merr := LowerToMemory("fuzz", prog)
+		if fmt.Sprint(err) != fmt.Sprint(merr) {
+			t.Fatalf("LowerProgram error %v, LowerToMemory error %v\ninput:\n%q", err, merr, src)
+		}
+		if err != nil {
+			return
+		}
+		for _, f := range mem.Funcs {
+			ssa.Promote(f)
+		}
+		if got, want := m.String(), mem.String(); got != want {
+			t.Fatalf("LowerProgram differs from promoting LowerToMemory\ninput:\n%q\n--- promoted ---\n%s--- lowered ---\n%s", src, want, got)
+		}
+		// Promote finds nothing left to promote.
+		for _, f := range m.Funcs {
+			if n := ssa.Promote(f); n != 0 {
+				t.Fatalf("Promote promoted %d allocas of @%s after LowerProgram\ninput:\n%q", n, f.FName, src)
+			}
+		}
 	})
 }

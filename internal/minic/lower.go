@@ -7,8 +7,8 @@ import (
 	"repro/internal/ssa"
 )
 
-// Compile parses src, lowers it to IR, promotes locals to SSA form,
-// and verifies the result. name becomes the module name.
+// Compile parses src, lowers it to SSA-form IR and checks the
+// dominance property of the result. name becomes the module name.
 func Compile(name, src string) (*ir.Module, error) {
 	prog, err := ParseProgram(src)
 	if err != nil {
@@ -19,13 +19,9 @@ func Compile(name, src string) (*ir.Module, error) {
 		return nil, err
 	}
 	for _, f := range m.Funcs {
-		ssa.Promote(f)
 		if err := ssa.VerifySSA(f); err != nil {
 			return nil, fmt.Errorf("minic: internal error: %s: %w", f.FName, err)
 		}
-	}
-	if err := ir.Verify(m); err != nil {
-		return nil, fmt.Errorf("minic: internal error: %w", err)
 	}
 	return m, nil
 }
@@ -40,16 +36,38 @@ func MustCompile(name, src string) *ir.Module {
 	return m
 }
 
-// LowerProgram lowers a parsed program to IR without SSA promotion:
-// every local lives in an alloca. Useful for testing the promotion
-// pass itself; most callers want Compile.
-func LowerProgram(name string, prog *Program) (m *ir.Module, err error) {
+// LowerProgram lowers a parsed program to IR in SSA form and checks it
+// structurally (ir.Verify). It returns what lowering every local to
+// memory (LowerToMemory) and then promoting each function (ssa.Promote)
+// returns, byte for byte, without building the allocas, loads and
+// stores that promotion would delete. A scalar local whose name the
+// function never puts directly under a unary "&" is built in SSA form
+// as it is lowered (ssa.Locals); the others, and arrays, live in
+// allocas, and the construction that ends each function promotes
+// those of them that do not escape after all and marks the rest kept
+// (ir.Instr.Kept), so that ssa.Promote finds nothing left to promote.
+// A fault of that construction fails the whole program, as any
+// internal lowering error does. Most callers want Compile.
+func LowerProgram(name string, prog *Program) (*ir.Module, error) {
+	return lower(name, prog, false)
+}
+
+// LowerToMemory lowers a parsed program to IR without SSA
+// construction: every local lives in an alloca, as a C compiler's
+// frontend leaves it before mem2reg. It is the input of the tests that
+// hold LowerProgram to ssa.Promote and its reference.
+func LowerToMemory(name string, prog *Program) (*ir.Module, error) {
+	return lower(name, prog, true)
+}
+
+func lower(name string, prog *Program, memory bool) (m *ir.Module, err error) {
 	lw := &lowerer{
 		mod:     ir.NewModule(name),
 		funcs:   map[string]*ir.Func{},
 		rets:    map[string]CType{},
 		globals: map[string]*symbol{},
 		locals:  map[string]*symbol{},
+		memory:  memory,
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -69,7 +87,9 @@ func LowerProgram(name string, prog *Program) (m *ir.Module, err error) {
 		lw.declareFunc(fd)
 	}
 	for _, fd := range prog.Funcs {
-		lw.lowerFunc(fd)
+		if err := lw.lowerFunc(fd); err != nil {
+			return nil, fmt.Errorf("minic: internal error: %w", err)
+		}
 	}
 	if err := ir.Verify(lw.mod); err != nil {
 		return nil, fmt.Errorf("minic: internal error: lowered module invalid: %w", err)
@@ -89,7 +109,10 @@ func (e *lowerError) Error() string {
 // symbol is a named storage location in scope.
 type symbol struct {
 	// addr is a pointer to the storage: an alloca result or a global.
-	addr ir.Value
+	// It is nil for a local built in SSA form, number local of the
+	// function's ssa.Locals.
+	addr  ir.Value
+	local int
 	// typ is the value type stored (for arrays, the element type).
 	typ CType
 	// isArray marks array declarations, which decay on use.
@@ -127,6 +150,15 @@ type lowerer struct {
 	// terminated is true when the current block already has a
 	// terminator; further statements open a dead block.
 	terminated bool
+
+	// memory lowers every local to an alloca. Otherwise vars records
+	// the scalar locals built in SSA form, all but those whose name is
+	// in addrTaken: the names the current function puts directly under
+	// a unary "&". addrNames lists them, to empty the set afterwards.
+	memory    bool
+	vars      ssa.Locals
+	addrTaken map[string]bool
+	addrNames []string
 }
 
 func (lw *lowerer) fail(line int, format string, args ...any) {
@@ -209,21 +241,29 @@ func (lw *lowerer) lookup(name string) *symbol {
 	return lw.globals[name]
 }
 
-func (lw *lowerer) lowerFunc(fd *FuncDecl) {
+// lowerFunc lowers fd. It returns an error only when the SSA
+// construction that ends the function fails; a program error panics
+// with a lowerError.
+func (lw *lowerer) lowerFunc(fd *FuncDecl) error {
 	lw.fn = lw.funcs[fd.Name]
 	lw.bld = ir.NewBuilder(lw.fn)
 	lw.loops = nil
 	lw.terminated = false
 	lw.pushScope()
+	if !lw.memory {
+		lw.vars.Reset(lw.fn)
+		lw.scanAddrTaken(fd.Body)
+	}
 
 	entry := lw.fn.NewBlock("entry")
 	lw.bld.SetBlock(entry)
-	// Spill parameters into allocas so they are addressable; SSA
-	// promotion recovers registers (the standard clang approach).
+	// A parameter lives where a local of its name and type would: in
+	// SSA form, or spilled into an alloca so it is addressable (the
+	// standard clang approach).
 	for i, p := range fd.Params {
-		a := lw.bld.Named(p.Name+".addr").Alloca(irType(p.Typ), 1)
-		lw.bld.Store(lw.fn.Params[i], a)
-		lw.define(p.Line, p.Name, &symbol{addr: a, typ: p.Typ})
+		s := lw.declare(p.Name, p.Typ, 0)
+		lw.store(s.ref(), lw.fn.Params[i])
+		lw.define(p.Line, p.Name, s)
 	}
 	lw.lowerBlock(fd.Body)
 	if !lw.terminated {
@@ -246,6 +286,136 @@ func (lw *lowerer) lowerFunc(fd *FuncDecl) {
 	}
 	lw.fn.RecomputeCFG()
 	lw.popScope()
+	if lw.memory {
+		return nil
+	}
+	for _, n := range lw.addrNames {
+		delete(lw.addrTaken, n)
+	}
+	lw.addrNames = lw.addrNames[:0]
+	return lw.vars.Finish()
+}
+
+// scanAddrTaken collects into addrTaken the identifiers that body puts
+// directly under a unary "&". Every local of such a name is lowered to
+// memory: a superset of the locals whose address escapes, which the
+// construction at the end of the function narrows down.
+func (lw *lowerer) scanAddrTaken(body *BlockStmt) {
+	var stmt func(s Stmt)
+	var expr func(e Expr)
+	expr = func(e Expr) {
+		switch e := e.(type) {
+		case *BinExpr:
+			expr(e.L)
+			expr(e.R)
+		case *UnExpr:
+			if id, ok := e.X.(*Ident); ok && e.Op == "&" {
+				if !lw.addrTaken[id.Name] {
+					if lw.addrTaken == nil {
+						lw.addrTaken = map[string]bool{}
+					}
+					lw.addrTaken[id.Name] = true
+					lw.addrNames = append(lw.addrNames, id.Name)
+				}
+			}
+			expr(e.X)
+		case *AssignExpr:
+			expr(e.L)
+			expr(e.R)
+		case *IncDecExpr:
+			expr(e.X)
+		case *IndexExpr:
+			expr(e.X)
+			expr(e.Idx)
+		case *CallExpr:
+			for _, a := range e.Args {
+				expr(a)
+			}
+		}
+	}
+	stmt = func(s Stmt) {
+		switch s := s.(type) {
+		case *BlockStmt:
+			for _, t := range s.Stmts {
+				stmt(t)
+			}
+		case *DeclStmt:
+			for _, d := range s.Decls {
+				if d.Init != nil {
+					expr(d.Init)
+				}
+			}
+		case *ExprStmt:
+			expr(s.X)
+		case *IfStmt:
+			expr(s.Cond)
+			stmt(s.Then)
+			if s.Else != nil {
+				stmt(s.Else)
+			}
+		case *WhileStmt:
+			expr(s.Cond)
+			stmt(s.Body)
+		case *ForStmt:
+			if s.Init != nil {
+				stmt(s.Init)
+			}
+			if s.Cond != nil {
+				expr(s.Cond)
+			}
+			if s.Post != nil {
+				expr(s.Post)
+			}
+			stmt(s.Body)
+		case *ReturnStmt:
+			if s.X != nil {
+				expr(s.X)
+			}
+		}
+	}
+	stmt(body)
+}
+
+// declare makes the storage of a local named name of type t, an array
+// of arrayLen elements when arrayLen > 0: an alloca named name.addr,
+// or, for a scalar that vars builds in SSA form, only that name,
+// reserved where the alloca would have stood.
+func (lw *lowerer) declare(name string, t CType, arrayLen int64) *symbol {
+	s := &symbol{typ: t, isArray: arrayLen > 0}
+	if lw.memory || s.isArray || t.Void || lw.addrTaken[name] {
+		s.addr = lw.bld.Named(name+".addr").Alloca(irType(t), max(arrayLen, 1))
+		return s
+	}
+	s.local = lw.vars.Declare(lw.fn.UniqueName(name+".addr"), irType(t), lw.bld.Block())
+	return s
+}
+
+// ref is where an lvalue lives: at address addr, or, when addr is nil,
+// in the local built in SSA form numbered local.
+type ref struct {
+	addr  ir.Value
+	local int
+}
+
+func (s *symbol) ref() ref { return ref{s.addr, s.local} }
+
+// load reads r. A local built in SSA form builds no load, but uses up
+// the temporary the load would have taken.
+func (lw *lowerer) load(r ref) ir.Value {
+	if r.addr != nil {
+		return lw.bld.Load(r.addr)
+	}
+	lw.fn.SkipTemp()
+	return lw.vars.Read(r.local, lw.bld.Block())
+}
+
+// store writes v to r.
+func (lw *lowerer) store(r ref, v ir.Value) {
+	if r.addr != nil {
+		lw.bld.Store(v, r.addr)
+		return
+	}
+	lw.vars.Def(r.local, lw.bld.Block(), v)
 }
 
 // startBlock switches emission to b and clears the terminated flag.
@@ -391,21 +561,15 @@ func (lw *lowerer) lowerDecl(d *VarDecl) {
 		lw.fail(d.Line, "variable %s has void type", d.Name)
 	}
 	lw.bld.SetLine(d.Line)
-	elem := irType(d.Typ)
-	n := int64(1)
-	isArray := d.ArrayLen > 0
-	if isArray {
-		n = d.ArrayLen
-	}
-	a := lw.bld.Named(d.Name+".addr").Alloca(elem, n)
-	lw.define(d.Line, d.Name, &symbol{addr: a, typ: d.Typ, isArray: isArray})
+	s := lw.declare(d.Name, d.Typ, d.ArrayLen)
+	lw.define(d.Line, d.Name, s)
 	if d.Init != nil {
-		if isArray {
+		if s.isArray {
 			lw.fail(d.Line, "array %s cannot have an initializer", d.Name)
 		}
 		v, vt := lw.lowerExpr(d.Init, d.Typ)
 		lw.checkAssignable(d.Line, d.Typ, vt)
-		lw.bld.Store(v, a)
+		lw.store(s.ref(), v)
 	}
 }
 
@@ -489,8 +653,8 @@ func predOf(op string) ir.CmpPred {
 	panic("minic: bad comparison " + op)
 }
 
-// lvalue lowers e to (address, type of object).
-func (lw *lowerer) lvalue(e Expr) (ir.Value, CType) {
+// lvalue lowers e to (where the object lives, type of object).
+func (lw *lowerer) lvalue(e Expr) (ref, CType) {
 	if p := e.Pos(); p > 0 {
 		lw.bld.SetLine(p)
 	}
@@ -503,14 +667,14 @@ func (lw *lowerer) lvalue(e Expr) (ir.Value, CType) {
 		if s.isArray {
 			lw.fail(e.Line, "array %s is not assignable", e.Name)
 		}
-		return s.addr, s.typ
+		return s.ref(), s.typ
 	case *UnExpr:
 		if e.Op == "*" {
 			v, vt := lw.lowerExpr(e.X, CType{})
 			if !vt.IsPtr() {
 				lw.fail(e.Line, "cannot dereference %s", vt)
 			}
-			return v, vt.Deref()
+			return ref{addr: v}, vt.Deref()
 		}
 	case *IndexExpr:
 		base, bt := lw.lowerExpr(e.X, CType{})
@@ -521,10 +685,10 @@ func (lw *lowerer) lvalue(e Expr) (ir.Value, CType) {
 		if !it.IsInt() {
 			lw.fail(e.Line, "array index must be int, got %s", it)
 		}
-		return lw.bld.GEP(base, idx), bt.Deref()
+		return ref{addr: lw.bld.GEP(base, idx)}, bt.Deref()
 	}
 	lw.fail(e.Pos(), "expression is not an lvalue")
-	return nil, CType{}
+	return ref{}, CType{}
 }
 
 // lowerExpr lowers e to a value. want is a contextual type hint used
@@ -550,7 +714,7 @@ func (lw *lowerer) lowerExpr(e Expr, want CType) (ir.Value, CType) {
 			// Array decays to a pointer to its first element.
 			return lw.decayedBase(s), s.typ.AddrOf()
 		}
-		return lw.bld.Load(s.addr), s.typ
+		return lw.load(s.ref()), s.typ
 	case *BinExpr:
 		return lw.lowerBin(e)
 	case *UnExpr:
@@ -560,8 +724,8 @@ func (lw *lowerer) lowerExpr(e Expr, want CType) (ir.Value, CType) {
 	case *IncDecExpr:
 		return lw.lowerIncDec(e)
 	case *IndexExpr:
-		addr, t := lw.lvalue(e)
-		return lw.bld.Load(addr), t
+		r, t := lw.lvalue(e)
+		return lw.load(r), t
 	case *CallExpr:
 		return lw.lowerCall(e, want)
 	}
@@ -687,22 +851,26 @@ func (lw *lowerer) lowerUn(e *UnExpr) (ir.Value, CType) {
 				return lw.decayedBase(s), s.typ.AddrOf()
 			}
 		}
-		addr, t := lw.lvalue(e.X)
-		return addr, t.AddrOf()
+		// scanAddrTaken put every identifier under a "&" in memory.
+		r, t := lw.lvalue(e.X)
+		if r.addr == nil {
+			panic("minic: & of a local built in SSA form")
+		}
+		return r.addr, t.AddrOf()
 	}
 	panic("minic: bad unary op " + e.Op)
 }
 
 func (lw *lowerer) lowerAssign(e *AssignExpr) (ir.Value, CType) {
-	addr, lt := lw.lvalue(e.L)
+	dst, lt := lw.lvalue(e.L)
 	if e.Op == "=" {
 		v, vt := lw.lowerExpr(e.R, lt)
 		lw.checkAssignable(e.Line, lt, vt)
-		lw.bld.Store(v, addr)
+		lw.store(dst, v)
 		return v, lt
 	}
 	// Compound assignment: load, apply, store.
-	old := lw.bld.Load(addr)
+	old := lw.load(dst)
 	r, rt := lw.lowerExpr(e.R, CType{})
 	var nv ir.Value
 	switch {
@@ -720,13 +888,13 @@ func (lw *lowerer) lowerAssign(e *AssignExpr) (ir.Value, CType) {
 	default:
 		lw.fail(e.Line, "invalid %q on %s and %s", e.Op, lt, rt)
 	}
-	lw.bld.Store(nv, addr)
+	lw.store(dst, nv)
 	return nv, lt
 }
 
 func (lw *lowerer) lowerIncDec(e *IncDecExpr) (ir.Value, CType) {
-	addr, t := lw.lvalue(e.X)
-	old := lw.bld.Load(addr)
+	r, t := lw.lvalue(e.X)
+	old := lw.load(r)
 	var nv ir.Value
 	delta := int64(1)
 	if e.Op == "--" {
@@ -739,7 +907,7 @@ func (lw *lowerer) lowerIncDec(e *IncDecExpr) (ir.Value, CType) {
 	} else {
 		nv = lw.bld.Sub(old, ir.ConstInt(1))
 	}
-	lw.bld.Store(nv, addr)
+	lw.store(r, nv)
 	if e.Post {
 		return old, t
 	}

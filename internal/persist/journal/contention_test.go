@@ -401,17 +401,26 @@ func TestLeaseStealBacksOffWhileLocked(t *testing.T) {
 
 // TestLeaseCorruptFileIsClaimable: a torn or garbage lease file is
 // damage, not a claim — the next worker removes it and takes over.
+// So is a live-looking record with an epoch below 1, which no claim
+// writes.
 func TestLeaseCorruptFileIsClaimable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard-3.lease")
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := AcquireLease(path, 3, "worker-a", time.Minute)
-	if err != nil || l == nil {
-		t.Fatalf("acquire over corrupt lease: lease=%v err=%v", l, err)
-	}
-	if l.Epoch != 1 {
-		t.Fatalf("epoch over corrupt lease = %d, want 1", l.Epoch)
+	future := time.Now().Add(time.Hour).UnixMilli()
+	for _, body := range []string{
+		"{torn",
+		fmt.Sprintf(`{"shard":3,"owner":"worker-b","epoch":0,"expires_unix_ms":%d}`, future),
+		fmt.Sprintf(`{"shard":3,"owner":"worker-b","epoch":-2,"expires_unix_ms":%d}`, future),
+	} {
+		path := filepath.Join(t.TempDir(), "shard-3.lease")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := AcquireLease(path, 3, "worker-a", time.Minute)
+		if err != nil || l == nil {
+			t.Fatalf("acquire over corrupt lease %s: lease=%v err=%v", body, l, err)
+		}
+		if l.Epoch != 1 {
+			t.Fatalf("epoch over corrupt lease %s = %d, want 1", body, l.Epoch)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -97,5 +98,79 @@ func FuzzOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		c.Close()
+	})
+}
+
+// readLeaseSeeds are FuzzReadLease's checked-in seeds, each with the
+// outcome TestReadLeaseSeeds pins: the record readLease accepts, or
+// reject for damage.
+var readLeaseSeeds = []struct {
+	name, in string
+	reject   bool
+	want     leaseRecord
+}{
+	{name: "valid record", in: `{"shard":3,"owner":"w1","epoch":2,"expires_unix_ms":1700000000000}`,
+		want: leaseRecord{Shard: 3, Owner: "w1", Epoch: 2, Expires: 1700000000000}},
+	{name: "empty object", in: `{}`, reject: true},
+	{name: "empty owner", in: `{"shard":0,"owner":"","epoch":1}`, reject: true},
+	{name: "epoch 0", in: `{"shard":0,"owner":"w1","epoch":0}`, reject: true},
+	{name: "negative epoch", in: `{"shard":0,"owner":"w1","epoch":-4}`, reject: true},
+	{name: "truncated JSON", in: `{"shard":0,"owner":"w1","ep`, reject: true},
+	{name: "trailing data", in: `{"owner":"w1","epoch":1} {"owner":"w2","epoch":2}`, reject: true},
+	// encoding/json keeps the last of duplicate keys.
+	{name: "duplicate keys", in: `{"owner":"w1","epoch":1,"owner":"w2"}`,
+		want: leaseRecord{Owner: "w2", Epoch: 1}},
+	{name: "overflowing epoch", in: `{"owner":"w1","epoch":99999999999999999999}`, reject: true},
+}
+
+// TestReadLeaseSeeds pins each seed's outcome, so a change to what
+// readLease accepts shows here and not only as a fuzz finding.
+func TestReadLeaseSeeds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.lease")
+	for _, tc := range readLeaseSeeds {
+		if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readLease(path)
+		if (err != nil) != tc.reject {
+			t.Errorf("%s: readLease(%s) error %v, want reject %v", tc.name, tc.in, err, tc.reject)
+			continue
+		}
+		if err == nil && got != tc.want {
+			t.Errorf("%s: readLease(%s) = %+v, want %+v", tc.name, tc.in, got, tc.want)
+		}
+	}
+}
+
+// FuzzReadLease feeds readLease arbitrary lease files. It must never
+// panic; an accepted record has an owner and an epoch of at least 1,
+// and marshals into a file that reads back to it.
+func FuzzReadLease(f *testing.F) {
+	for _, tc := range readLeaseSeeds {
+		f.Add([]byte(tc.in))
+	}
+	path := filepath.Join(f.TempDir(), "shard.lease")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := readLease(path)
+		if err != nil {
+			return
+		}
+		if rec.Owner == "" || rec.Epoch < 1 {
+			t.Fatalf("accepted %q as %+v: no owner or epoch below 1", data, rec)
+		}
+		wire, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("accepted %q as %+v, which does not marshal: %v", data, rec, err)
+		}
+		if err := os.WriteFile(path, wire, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readLease(path)
+		if err != nil || back != rec {
+			t.Fatalf("accepted %q as %+v, but its wire form %s reads back as %+v, %v", data, rec, wire, back, err)
+		}
 	})
 }

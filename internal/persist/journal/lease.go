@@ -243,7 +243,9 @@ func BreakLease(path, owner string) (bool, error) {
 	return true, nil
 }
 
-// readLease parses the lease file at path.
+// readLease parses the lease file at path. A record without an owner
+// or with an epoch below 1 is damage, as unreadable bytes are: no
+// claim writes one, and AcquireLease claims over it.
 func readLease(path string) (leaseRecord, error) {
 	var rec leaseRecord
 	data, err := os.ReadFile(path)
@@ -255,6 +257,9 @@ func readLease(path string) (leaseRecord, error) {
 	}
 	if rec.Owner == "" {
 		return rec, fmt.Errorf("journal: lease %s: no owner", path)
+	}
+	if rec.Epoch < 1 {
+		return rec, fmt.Errorf("journal: lease %s: epoch %d below 1", path, rec.Epoch)
 	}
 	return rec, nil
 }

@@ -204,8 +204,7 @@ func Open(cfg Config) (*Node, error) {
 		})
 	}
 	if data, err := os.ReadFile(n.rolePath()); err == nil {
-		var rs roleState
-		if json.Unmarshal(data, &rs) == nil && rs.Epoch > 0 && (rs.Role == RolePrimary || rs.Role == RoleReplica) {
+		if rs, ok := decodeRole(data); ok {
 			n.role, n.epoch = rs.Role, rs.Epoch
 		}
 		// An unreadable or damaged role file falls back to the
@@ -224,6 +223,16 @@ func Open(cfg Config) (*Node, error) {
 }
 
 func (n *Node) rolePath() string { return filepath.Join(n.cfg.Dir, roleFile) }
+
+// decodeRole parses the bytes of a role file. It accepts only a known
+// role at an epoch of at least 1; anything else is damage.
+func decodeRole(data []byte) (roleState, bool) {
+	var rs roleState
+	if json.Unmarshal(data, &rs) != nil || rs.Epoch < 1 || (rs.Role != RolePrimary && rs.Role != RoleReplica) {
+		return roleState{}, false
+	}
+	return rs, true
+}
 
 // persistLocked writes role.json; callers hold n.mu (or own the node
 // exclusively, as Open does).

@@ -106,7 +106,7 @@ func trapsOOB(src string) bool {
 	if err != nil {
 		return false
 	}
-	m, err := minic.LowerProgram("t", prog)
+	m, err := minic.LowerToMemory("t", prog)
 	if err != nil {
 		return false
 	}
@@ -266,7 +266,7 @@ func lowerForTest(t *testing.T, src string) *ir.Module {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := minic.LowerProgram("t", prog)
+	m, err := minic.LowerToMemory("t", prog)
 	if err != nil {
 		t.Fatal(err)
 	}
